@@ -8,12 +8,6 @@
 
 namespace prophet::net {
 
-namespace {
-// A flow is "done" when its remaining byte count falls below this; avoids
-// rescheduling completions for sub-byte floating-point residue.
-constexpr double kDrainEpsilon = 1e-6;
-}  // namespace
-
 FlowNetwork::FlowNetwork(sim::Simulator& sim, TcpCostModel cost_model,
                          RebalanceMode mode)
     : sim_{sim}, cost_model_{cost_model}, mode_{mode} {}
@@ -95,10 +89,6 @@ const FlowNetwork::Link& FlowNetwork::link(LinkId id) const {
   return links_[id];
 }
 
-FlowNetwork::Link& FlowNetwork::access_link(NodeId id, Direction dir) {
-  return link(node_link(id, dir));
-}
-
 const FlowNetwork::Link& FlowNetwork::access_link(NodeId id, Direction dir) const {
   return link(node_link(id, dir));
 }
@@ -121,7 +111,7 @@ void FlowNetwork::set_link_capacity(LinkId id, Bandwidth cap) {
     return;
   }
   // Settlement credits bytes at the rates in force before the change, which
-  // are stored per flow (or in the group's rate history) — safe to mutate
+  // are stored per flow (or in the group's live segment) — safe to mutate
   // the capacity first.
   link(id).cap = cap;
   const std::uint32_t gid = group_of_link(id);
@@ -150,19 +140,15 @@ bool FlowNetwork::link_state(LinkId id) const { return link(id).up; }
 std::int64_t FlowNetwork::link_total_bytes(LinkId id) {
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();
-    return static_cast<std::int64_t>(link(id).total_bytes);
+    return link(id).total_bytes;
   }
   const TimePoint now = sim_.now();
   // Settling only this link's flows suffices for its byte/busy counters (the
-  // rest of the component keeps draining at unchanged rates).
-  comp_flows_.assign(link_flows_[id].begin(), link_flows_[id].end());
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
-  for (const std::uint32_t slot : comp_flows_) settle_flow(slot, now);
+  // rest of the component keeps draining at unchanged rates). Credits are
+  // integers, so the settlement order is immaterial.
+  for (const std::uint32_t slot : link_flows_[id]) settle_flow(slot, now);
   settle_link_busy(id, now);
-  return static_cast<std::int64_t>(link(id).total_bytes);
+  return link(id).total_bytes;
 }
 
 Duration FlowNetwork::link_busy_time(LinkId id) {
@@ -175,7 +161,13 @@ Duration FlowNetwork::link_busy_time(LinkId id) {
 }
 
 void FlowNetwork::attach_link_tracker(LinkId id, BinnedSeries* series) {
+  PROPHET_CHECK_MSG(link_flows_[id].empty(),
+                    "attach trackers before the link carries traffic");
   link(id).tracker = series;
+  if (series == nullptr) return;
+  const std::int64_t bin_ns = series->bin_width().count_nanos();
+  const bool same_grid = tracker_bin_ns_ == 0 || tracker_bin_ns_ == bin_ns;
+  tracker_bin_ns_ = same_grid ? bin_ns : kMixedTrackerWidths;
 }
 
 void FlowNetwork::set_capacity(NodeId id, Direction dir, Bandwidth cap) {
@@ -253,9 +245,11 @@ FlowId FlowNetwork::start_flow(NodeId src, NodeId dst, Bytes size,
   s.occupied = true;
   s.flow.src = src;
   s.flow.dst = dst;
-  s.flow.remaining = static_cast<double>(size.count());
+  s.flow.size_qb = static_cast<Quanta>(size.count()) << kQuantumBits;
+  s.flow.drained_qb = 0;
   s.flow.draining = false;
   s.flow.rate = 0.0;
+  s.flow.rate_qbpns = 0;
   s.flow.path_len = compute_path(src, dst, s.flow.path);
   s.flow.admission = next_admission_++;
   s.flow.last_settled = sim_.now();
@@ -287,7 +281,7 @@ Bandwidth FlowNetwork::flow_rate(FlowId id) const {
 }
 
 void FlowNetwork::attach_tracker(NodeId id, Direction dir, BinnedSeries* series) {
-  access_link(id, dir).tracker = series;
+  attach_link_tracker(node_link(id, dir), series);
 }
 
 std::int64_t FlowNetwork::total_bytes(NodeId id, Direction dir) {
@@ -363,33 +357,90 @@ void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
   }
   // Admission order is the deterministic walk order everywhere (it is what
   // the full algorithm uses), independent of discovery order.
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
+  std::sort(comp_flows_.begin(), comp_flows_.end(), by_admission());
+}
+
+std::int64_t FlowNetwork::quantize_rate(double rate) {
+  if (rate <= 0.0) return 0;
+  // 2^kQuantumBits quanta per byte, 1e9 ns per second.
+  constexpr double kQbpnsPerBps = 4503599627370496.0 / 1e9;
+  const double q = rate * kQbpnsPerBps;
+  PROPHET_CHECK_MSG(q < 9.0e18, "link rate exceeds the fixed-point range");
+  return std::max<std::int64_t>(1, static_cast<std::int64_t>(q + 0.5));
+}
+
+void FlowNetwork::set_flow_rate(Flow& f, double rate) {
+  const std::int64_t rate_qbpns = quantize_rate(rate);
+  f.rerated = rate_qbpns != f.rate_qbpns;
+  f.rate = rate;
+  f.rate_qbpns = rate_qbpns;
+}
+
+Duration FlowNetwork::drain_time(Quanta remaining_qb, std::int64_t rate_qbpns) {
+  Quanta ns = remaining_qb / rate_qbpns;
+  if (remaining_qb > ns * rate_qbpns) ++ns;
+  PROPHET_CHECK_MSG(ns < (Quanta{1} << 62), "flow drain time overflows the clock");
+  return Duration::nanos(static_cast<std::int64_t>(ns));
+}
+
+Bytes FlowNetwork::unsent_bytes(const Flow& f) {
+  const Quanta left_qb = f.size_qb - f.drained_qb;
+  return Bytes::of(whole_bytes(left_qb + ((Quanta{1} << kQuantumBits) - 1)));
+}
+
+template <typename WorkAt>
+void FlowNetwork::credit_links(const Flow& f, TimePoint from, TimePoint to,
+                               Quanta from_qb, Quanta to_qb, WorkAt&& work_at) {
+  const std::int64_t from_bytes = whole_bytes(from_qb);
+  const std::int64_t to_bytes = whole_bytes(to_qb);
+  if (to_bytes == from_bytes) return;
+  for (std::uint8_t i = 0; i < f.path_len; ++i) {
+    Link& l = links_[f.path[i]];
+    l.total_bytes += to_bytes - from_bytes;
+    if (l.tracker == nullptr) continue;
+    // Bin k owns the work drained in (k * width, (k + 1) * width]. Each bin
+    // gets the whole bytes crossed between its edges, so bins stay exact
+    // integers and any settlement split credits them identically.
+    BinnedSeries& series = *l.tracker;
+    const std::int64_t width_ns = series.bin_width().count_nanos();
+    const auto bins = static_cast<std::int64_t>(series.bin_count());
+    const std::int64_t end_ns = to.count_nanos();
+    std::int64_t credited_bytes = from_bytes;
+    for (std::int64_t bin = from.count_nanos() / width_ns; bin < bins; ++bin) {
+      const std::int64_t edge_ns = (bin + 1) * width_ns;
+      const bool last = edge_ns >= end_ns;
+      const std::int64_t at_edge_bytes = last ? to_bytes : whole_bytes(work_at(edge_ns));
+      if (at_edge_bytes != credited_bytes) {
+        series.add_amount(TimePoint::from_nanos(bin * width_ns),
+                          static_cast<double>(at_edge_bytes - credited_bytes));
+        credited_bytes = at_edge_bytes;
+      }
+      if (last) break;
+    }
+  }
 }
 
 void FlowNetwork::settle_flow(std::uint32_t slot, TimePoint now) {
   Flow& f = slots_[slot].flow;
-  if (f.group != kNoGroup) {
-    settle_group_flow(slot, now);
-    return;
-  }
-  if (f.last_settled == now) return;
-  if (f.draining && f.rate > 0.0) {
+  if (f.last_settled >= now) return;
+  const RateGroup* g = f.group != kNoGroup ? &groups_[f.group] : nullptr;
+  if (g != nullptr || (f.draining && f.rate_qbpns > 0)) {
     ++stats_.flows_settled;
-    const double elapsed_s = (now - f.last_settled).to_seconds();
-    const double drained = std::min(f.remaining, f.rate * elapsed_s);
-    f.remaining -= drained;
-    for (std::uint8_t i = 0; i < f.path_len; ++i) {
-      Link& l = links_[f.path[i]];
-      l.total_bytes += drained;
-      if (l.tracker != nullptr) {
-        // The rate is constant over [last_settled, now] (rate changes always
-        // settle first), so one uniform spread is exact.
-        l.tracker->add_amount_spread(f.last_settled, now, drained);
-      }
-    }
+    // A grouped member drains in lockstep with its group's work clock since
+    // its last settlement; any other flow at its own constant rate.
+    const std::int64_t from_ns = f.last_settled.count_nanos();
+    const Quanta from_qb = f.drained_qb;
+    const Quanta mark_qb = f.group_mark_qb;
+    const Quanta size_qb = f.size_qb;
+    const Quanta rate = f.rate_qbpns;
+    const auto work_at = [&](std::int64_t t_ns) {
+      const Quanta moved = g != nullptr ? group_work_at(*g, t_ns) - mark_qb
+                                        : rate * (t_ns - from_ns);
+      return std::min(size_qb, from_qb + moved);
+    };
+    f.drained_qb = work_at(now.count_nanos());
+    if (g != nullptr) f.group_mark_qb = group_work_at(*g, now.count_nanos());
+    credit_links(f, f.last_settled, now, from_qb, f.drained_qb, work_at);
   }
   f.last_settled = now;
 }
@@ -422,7 +473,6 @@ void FlowNetwork::progressive_fill(const std::vector<std::uint32_t>& flow_slots,
   active_links_.clear();
   for (const std::uint32_t slot : flow_slots) {
     const Flow& flow = slots_[slot].flow;
-    set_rate(slot, 0.0);
     unfrozen_.push_back(slot);
     for (std::uint8_t i = 0; i < flow.path_len; ++i) {
       const LinkId l = flow.path[i];
@@ -451,10 +501,16 @@ void FlowNetwork::progressive_fill(const std::vector<std::uint32_t>& flow_slots,
     // negative rate.
     min_share = std::max(min_share, 0.0);
     // Freeze every flow touching a link whose fair share equals the minimum.
+    // Tightness is decided on this round's shares before any capacity is
+    // consumed: re-testing a link after each subtraction lets the rounding
+    // residue of many subtractions push its last flows past the tolerance.
+    for (const LinkId l : active_links_) {
+      LinkFill& fl = fill_[l];
+      fl.tight = fl.unfrozen > 0 && fl.cap / fl.unfrozen <= min_share * (1.0 + 1e-12);
+    }
     const auto is_tight = [&](const Flow& f) {
       for (std::uint8_t i = 0; i < f.path_len; ++i) {
-        const LinkFill& fl = fill_[f.path[i]];
-        if (fl.cap / fl.unfrozen <= min_share * (1.0 + 1e-12)) return true;
+        if (fill_[f.path[i]].tight) return true;
       }
       return false;
     };
@@ -481,14 +537,18 @@ void FlowNetwork::progressive_fill(const std::vector<std::uint32_t>& flow_slots,
 
 void FlowNetwork::reschedule_completion(std::uint32_t slot) {
   Flow& flow = slots_[slot].flow;
+  // Work is exact, so a pending completion at an unchanged quantized rate
+  // already sits at the right nanosecond.
+  if (!flow.rerated && flow.completion.pending()) return;
   flow.completion.cancel();
   const FlowId fid = make_id(slots_[slot].generation, slot);
-  if (flow.remaining <= kDrainEpsilon) {
+  const Quanta left_qb = flow.size_qb - flow.drained_qb;
+  if (left_qb == 0) {
     flow.completion =
         sim_.schedule_after(Duration::zero(), [this, fid] { complete_flow(fid); });
-  } else if (flow.rate > 0.0) {
-    const Duration eta = Duration::from_seconds(flow.remaining / flow.rate);
-    flow.completion = sim_.schedule_after(eta, [this, fid] { complete_flow(fid); });
+  } else if (flow.rate_qbpns > 0) {
+    flow.completion = sim_.schedule_after(drain_time(left_qb, flow.rate_qbpns),
+                                          [this, fid] { complete_flow(fid); });
   }
   // rate == 0 (fully starved link) leaves the flow parked until the next
   // rebalance; set_capacity / flow departures will wake it.
@@ -507,8 +567,9 @@ void FlowNetwork::refill_component() {
   ++stats_.rebalances;
   stats_.component_flows += comp_flows_.size();
 
-  progressive_fill(comp_flows_,
-                   [&](std::uint32_t slot, double r) { slots_[slot].flow.rate = r; });
+  progressive_fill(comp_flows_, [&](std::uint32_t slot, double r) {
+    set_flow_rate(slots_[slot].flow, r);
+  });
 
   // Busy flags: a component link is busy while any of its draining flows has
   // a positive rate (marks were just settled to now by settle_component).
@@ -539,9 +600,7 @@ void FlowNetwork::gather_draining_by_admission(std::vector<std::uint32_t>& out) 
   for (const std::uint32_t slot : active_) {
     if (slots_[slot].flow.draining) out.push_back(slot);
   }
-  std::sort(out.begin(), out.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return slots_[a].flow.admission < slots_[b].flow.admission;
-  });
+  std::sort(out.begin(), out.end(), by_admission());
 }
 
 void FlowNetwork::verify_against_full() {
@@ -560,20 +619,19 @@ void FlowNetwork::verify_against_full() {
 
 // --- rate-group engine ------------------------------------------------------
 //
-// Exactness contract: a group never invents new floating-point operations.
-// The group rate is the same cap/int-count division progressive filling
-// evaluates; member settlement replays the same per-boundary rate*elapsed
-// chunks (with the same min-clamp, link credits and tracker spreads) the
-// eager engine applied; and the lane is aimed with the same
-// remaining/rate -> Duration::from_seconds rounding as
-// reschedule_completion. That is what keeps verify mode and the cross-mode
-// byte identities bit-for-bit. See DESIGN.md §4d.
+// Exactness contract: a group never invents a rate. Its rate is the same
+// cap/int-count division progressive filling evaluates, quantized by the
+// same quantize_rate; member settlement credits W(now) - W(mark), which is
+// the sum of the per-segment integer products the eager path would credit;
+// and the lane is aimed with the same drain_time ceil-division as
+// reschedule_completion. Because work is exact, that keeps verify mode and
+// the cross-mode byte identities exact. See DESIGN.md §4d.
 
 namespace {
 // "later" ordering for the next-finisher heap: std:: heap helpers keep the
 // smallest (vfinish, admission) pair at the front.
 constexpr auto kGroupEntryLater = [](const auto& a, const auto& b) {
-  if (a.vfinish != b.vfinish) return a.vfinish > b.vfinish;
+  if (a.vfinish_qb != b.vfinish_qb) return a.vfinish_qb > b.vfinish_qb;
   return a.admission > b.admission;
 };
 }  // namespace
@@ -609,61 +667,31 @@ std::ptrdiff_t FlowNetwork::group_heap_head(std::uint32_t gid) {
   return -1;
 }
 
-void FlowNetwork::group_advance(RateGroup& g, TimePoint now) {
-  if (now > g.last_boundary) {
-    g.virtual_work += g.rate * (now - g.last_boundary).to_seconds();
-    g.last_boundary = now;
+FlowNetwork::Quanta FlowNetwork::group_work_at(const RateGroup& g, std::int64_t t_ns) {
+  const std::int64_t seg_ns = g.seg_start.count_nanos();
+  if (t_ns >= seg_ns) {
+    return g.seg_work_qb + static_cast<Quanta>(g.rate_qbpns) * (t_ns - seg_ns);
   }
+  // A tracker-bin edge crossed by an earlier segment.
+  const std::int64_t k = t_ns / g.edge_width_ns - g.first_edge;
+  PROPHET_CHECK(k >= 0 && static_cast<std::size_t>(k) < g.edge_work_qb.size());
+  return g.edge_work_qb[static_cast<std::size_t>(k)];
 }
 
 void FlowNetwork::group_set_rate(RateGroup& g, double rate, TimePoint now) {
-  group_advance(g, now);
-  g.rate = rate;
-  if (g.history.back().start == now) {
-    // A second boundary in the same instant: the zero-length segment
-    // collapses, so replays only ever see rates that were in force.
-    g.history.back().rate = rate;
-  } else {
-    g.history.push_back(GroupSegment{now, rate});
-  }
-}
-
-void FlowNetwork::settle_group_flow(std::uint32_t slot, TimePoint now) {
-  Flow& f = slots_[slot].flow;
-  if (f.last_settled >= now) return;
-  const RateGroup& g = groups_[f.group];
-  ++stats_.flows_settled;
-  // Replay the group's piecewise-constant rate history from the flow's last
-  // settlement point. Each chunk applies the identical rate*elapsed product
-  // (same min-clamp, same link/tracker credits over the same interval) the
-  // eager engine applied at that boundary, so byte accounting stays
-  // bit-identical no matter when settlement actually happens.
-  std::size_t k = f.group_hist;
-  const std::size_t nseg = g.history.size();
-  for (;;) {
-    const TimePoint seg_end = (k + 1 < nseg) ? g.history[k + 1].start : now;
-    const TimePoint end = seg_end < now ? seg_end : now;
-    if (end > f.last_settled) {
-      const double rate = g.history[k].rate;
-      if (rate > 0.0) {
-        const double elapsed_s = (end - f.last_settled).to_seconds();
-        const double drained = std::min(f.remaining, rate * elapsed_s);
-        f.remaining -= drained;
-        for (std::uint8_t i = 0; i < f.path_len; ++i) {
-          Link& l = links_[f.path[i]];
-          l.total_bytes += drained;
-          if (l.tracker != nullptr) {
-            l.tracker->add_amount_spread(f.last_settled, end, drained);
-          }
-        }
-      }
-      f.last_settled = end;
+  const std::int64_t now_ns = now.count_nanos();
+  if (g.edge_width_ns > 0) {
+    // Every edge up to the previous boundary is recorded, so the ones left
+    // lie inside the closing segment.
+    auto edge = g.first_edge + static_cast<std::int64_t>(g.edge_work_qb.size());
+    for (; edge * g.edge_width_ns <= now_ns; ++edge) {
+      g.edge_work_qb.push_back(group_work_at(g, edge * g.edge_width_ns));
     }
-    if (seg_end >= now || k + 1 >= nseg) break;
-    ++k;
   }
-  f.group_hist = static_cast<std::uint32_t>(k);
-  f.last_settled = now;
+  g.seg_work_qb = group_work_at(g, now_ns);
+  g.seg_start = now;
+  g.rate = rate;
+  g.rate_qbpns = quantize_rate(rate);
 }
 
 void FlowNetwork::maybe_form_group() {
@@ -694,7 +722,8 @@ void FlowNetwork::maybe_form_group() {
       min_other = std::min(min_other, share);
     }
   }
-  if (!have_anchor) return;
+  // The group records its work clock on the one tracker bin grid.
+  if (!have_anchor || tracker_bin_ns_ == kMixedTrackerWidths) return;
 
   const TimePoint now = sim_.now();
   std::uint32_t gid;
@@ -709,21 +738,23 @@ void FlowNetwork::maybe_form_group() {
   g.anchor = anchor;
   g.n = static_cast<std::uint32_t>(n);
   g.rate = rate;
+  g.rate_qbpns = quantize_rate(rate);
   g.min_other_share = min_other;
-  g.virtual_work = 0.0;
-  g.last_boundary = now;  // every member was just settled to now
-  g.history.clear();
-  g.history.push_back(GroupSegment{now, rate});
+  g.seg_start = now;  // every member was just settled to now
+  g.seg_work_qb = 0;
+  g.edge_width_ns = tracker_bin_ns_;
+  g.first_edge = tracker_bin_ns_ > 0 ? now.count_nanos() / tracker_bin_ns_ + 1 : 0;
+  g.edge_work_qb.clear();
   g.heap.clear();
   g.heap.reserve(n);
   for (const std::uint32_t slot : comp_flows_) {
     Flow& f = slots_[slot].flow;
     f.group = gid;
-    f.group_hist = 0;
+    f.group_mark_qb = 0;
     // The lane supersedes per-flow completion events from here on.
     f.completion.cancel();
     f.completion = sim::EventHandle{};
-    g.heap.push_back(GroupEntry{f.remaining, f.admission, slot});
+    g.heap.push_back(GroupEntry{f.size_qb - f.drained_qb, f.admission, slot});
   }
   std::make_heap(g.heap.begin(), g.heap.end(), kGroupEntryLater);
   g.live = true;
@@ -735,38 +766,21 @@ void FlowNetwork::maybe_form_group() {
 
 void FlowNetwork::group_rearm(std::uint32_t gid, TimePoint now) {
   RateGroup& g = groups_[gid];
-  const std::ptrdiff_t head = group_heap_head(gid);
-  if (head < 0) {
+  if (group_heap_head(gid) < 0) {
     sim_.lane_disarm(g.lane);
     return;
   }
-  const auto slot = static_cast<std::uint32_t>(head);
-  // Settling the head at every boundary keeps the aim below on the identical
-  // remaining/rate floating-point chain reschedule_completion would use.
-  settle_flow(slot, now);
-  const Flow& f = slots_[slot].flow;
-  if (f.remaining <= kDrainEpsilon) {
-    sim_.lane_aim(g.lane, now);
-  } else {
-    sim_.lane_aim(g.lane, now + Duration::from_seconds(f.remaining / g.rate));
-  }
+  // The head's work left is exactly what its eager settlement would leave,
+  // so the aim matches reschedule_completion to the nanosecond.
+  const Quanta left_qb = g.heap.front().vfinish_qb - group_work_at(g, now.count_nanos());
+  sim_.lane_aim(g.lane, left_qb <= 0 ? now : now + drain_time(left_qb, g.rate_qbpns));
 }
 
 void FlowNetwork::group_lane_fire(std::uint32_t gid) {
-  const TimePoint now = sim_.now();
-  RateGroup& g = groups_[gid];
   const std::ptrdiff_t head = group_heap_head(gid);
   PROPHET_CHECK_MSG(head >= 0, "group lane fired with no live member");
-  const auto slot = static_cast<std::uint32_t>(head);
-  settle_flow(slot, now);  // the final chunk drains the member dry
-  FlowSlot& s = slots_[slot];
-  PROPHET_CHECK_MSG(s.flow.remaining <= 1.0,
-                    "flow completion fired with bytes still pending");
-  const FlowId fid = make_id(s.generation, slot);
-  auto on_complete = std::move(s.flow.on_complete);
-  group_heap_pop(g);
-  group_remove_member(gid, slot, now);
-  if (on_complete) on_complete(fid);
+  group_heap_pop(groups_[gid]);
+  finish_flow(static_cast<std::uint32_t>(head));
 }
 
 void FlowNetwork::group_remove_member(std::uint32_t gid, std::uint32_t slot,
@@ -774,7 +788,6 @@ void FlowNetwork::group_remove_member(std::uint32_t gid, std::uint32_t slot,
   RateGroup& g = groups_[gid];
   Flow& f = slots_[slot].flow;
   f.group = kNoGroup;
-  f.group_hist = 0;
   graph_remove(slot);
   // A link losing its last draining flow stops accruing busy time; the
   // anchor (and any link still shared with another member) stays busy.
@@ -790,7 +803,6 @@ void FlowNetwork::group_remove_member(std::uint32_t gid, std::uint32_t slot,
   g.n -= 1;
   if (g.n == 0) {
     ++stats_.group_fast_events;
-    group_advance(g, now);
     group_destroy(gid);
     return;
   }
@@ -817,8 +829,9 @@ void FlowNetwork::group_remove_member(std::uint32_t gid, std::uint32_t slot,
 bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
   Flow& f = slots_[slot].flow;
   // The arrival qualifies iff its path touches exactly one group, includes
-  // that group's anchor, crosses only up links, and leaves every non-anchor
-  // path link with a fair share at or above the group's post-arrival rate.
+  // that group's anchor, crosses only up links, leaves every non-anchor
+  // path link with a fair share at or above the group's post-arrival rate,
+  // and the group records the network's current tracker grid.
   std::uint32_t gid = kNoGroup;
   for (std::uint8_t i = 0; i < f.path_len; ++i) {
     const LinkId l = f.path[i];
@@ -837,6 +850,7 @@ bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
   bool on_anchor = false;
   for (std::uint8_t i = 0; i < f.path_len; ++i) on_anchor |= f.path[i] == g.anchor;
   if (!on_anchor) return false;  // bridges into the group off its bottleneck
+  if (g.edge_width_ns != tracker_bin_ns_) return false;
   const double new_rate =
       links_[g.anchor].cap.bytes_per_second() / static_cast<double>(g.n + 1);
   double min_other = g.min_other_share;
@@ -853,7 +867,7 @@ bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
   f.draining = true;
   f.last_settled = now;
   f.group = gid;
-  f.group_hist = static_cast<std::uint32_t>(g.history.size() - 1);
+  f.group_mark_qb = g.seg_work_qb;
   graph_insert(slot);
   g.n += 1;
   g.min_other_share = min_other;
@@ -864,7 +878,8 @@ bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
       l.busy_active = true;
     }
   }
-  group_heap_push(g, GroupEntry{g.virtual_work + f.remaining, f.admission, slot});
+  group_heap_push(g, GroupEntry{g.seg_work_qb + (f.size_qb - f.drained_qb),
+                                f.admission, slot});
   ++stats_.group_fast_events;
   group_rearm(gid, now);
   if (verify_rates_) group_verify(gid);
@@ -900,16 +915,15 @@ void FlowNetwork::dissolve_group(std::uint32_t gid) {
   RateGroup& g = groups_[gid];
   const TimePoint now = sim_.now();
   // Settle every member exactly (they all sit on the anchor), hand its rate
-  // back to the per-flow field, and let the caller's slow-path rebalance
+  // back to the per-flow fields, and let the caller's slow-path rebalance
   // re-rate them and schedule fresh completion events.
   for (const std::uint32_t slot : link_flows_[g.anchor]) {
     settle_flow(slot, now);
     Flow& f = slots_[slot].flow;
     f.rate = g.rate;
+    f.rate_qbpns = g.rate_qbpns;
     f.group = kNoGroup;
-    f.group_hist = 0;
   }
-  group_advance(g, now);
   ++stats_.group_dissolves;
   group_destroy(gid);
 }
@@ -918,7 +932,7 @@ void FlowNetwork::group_destroy(std::uint32_t gid) {
   RateGroup& g = groups_[gid];
   sim_.lane_destroy(g.lane);
   g.lane = sim::kNoLane;
-  g.history.clear();
+  g.edge_work_qb.clear();
   g.heap.clear();
   g.live = false;
   g.n = 0;
@@ -933,7 +947,7 @@ void FlowNetwork::group_verify(std::uint32_t gid) {
   // lazily-maintained copies first. Every group op in verify mode does this,
   // so the global check always sees current rates everywhere.
   for (const std::uint32_t slot : link_flows_[g.anchor]) {
-    slots_[slot].flow.rate = g.rate;
+    set_flow_rate(slots_[slot].flow, g.rate);
   }
   verify_against_full();
 }
@@ -962,20 +976,9 @@ void FlowNetwork::release_slot(std::uint32_t slot) {
 void FlowNetwork::advance_to_now() {
   const TimePoint now = sim_.now();
   if (now == last_update_) return;
-  const double elapsed_s = (now - last_update_).to_seconds();
-  gather_draining_by_admission(all_draining_);
-  for (const std::uint32_t slot : all_draining_) {
-    Flow& flow = slots_[slot].flow;
-    flow.last_settled = now;
-    if (flow.rate <= 0.0) continue;
-    ++stats_.flows_settled;
-    const double drained = std::min(flow.remaining, flow.rate * elapsed_s);
-    flow.remaining -= drained;
-    for (std::uint8_t i = 0; i < flow.path_len; ++i) {
-      Link& l = links_[flow.path[i]];
-      l.total_bytes += drained;
-      if (l.tracker != nullptr) l.tracker->add_amount_spread(last_update_, now, drained);
-    }
+  // Credits are exact integers, so the walk needs no deterministic order.
+  for (const std::uint32_t slot : active_) {
+    if (slots_[slot].flow.draining) settle_flow(slot, now);
   }
   const Duration elapsed = now - last_update_;
   for (Link& l : links_) {
@@ -989,8 +992,9 @@ void FlowNetwork::reassign_rates() {
   gather_draining_by_admission(all_draining_);
   ++stats_.rebalances;
   stats_.component_flows += all_draining_.size();
-  progressive_fill(all_draining_,
-                   [&](std::uint32_t slot, double r) { slots_[slot].flow.rate = r; });
+  progressive_fill(all_draining_, [&](std::uint32_t slot, double r) {
+    set_flow_rate(slots_[slot].flow, r);
+  });
   for (Link& l : links_) l.busy_active = false;
   for (const std::uint32_t slot : all_draining_) {
     const Flow& flow = slots_[slot].flow;
@@ -999,8 +1003,11 @@ void FlowNetwork::reassign_rates() {
       links_[flow.path[i]].busy_active = true;
     }
   }
-  // Reschedule completions at the new rates.
-  for (const std::uint32_t slot : all_draining_) reschedule_completion(slot);
+  // The reference algorithm re-arms every completion on every change.
+  for (const std::uint32_t slot : all_draining_) {
+    slots_[slot].flow.completion.cancel();
+    reschedule_completion(slot);
+  }
 }
 
 void FlowNetwork::enter_drain(FlowId id) {
@@ -1012,6 +1019,7 @@ void FlowNetwork::enter_drain(FlowId id) {
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();
     slots_[slot].flow.draining = true;
+    slots_[slot].flow.last_settled = sim_.now();
     graph_insert(slot);
     reassign_rates();
     return;
@@ -1029,60 +1037,63 @@ void FlowNetwork::enter_drain(FlowId id) {
   f.draining = true;
   f.last_settled = now;
   graph_insert(slot);
-  comp_flows_.push_back(slot);
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
+  const auto at =
+      std::upper_bound(comp_flows_.begin(), comp_flows_.end(), slot, by_admission());
+  comp_flows_.insert(at, slot);
   refill_component();
 }
 
 Bytes FlowNetwork::cancel_flow(FlowId id) {
   const std::ptrdiff_t found = find_slot(id);
   if (found < 0) return Bytes::zero();
-  const auto slot = static_cast<std::uint32_t>(found);
+  return depart(static_cast<std::uint32_t>(found));
+}
+
+Bytes FlowNetwork::depart(std::uint32_t slot) {
+  FlowSlot& s = slots_[slot];
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();
-    FlowSlot& s = slots_[slot];
-    const auto remaining =
-        static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
+    const Bytes left = unsent_bytes(s.flow);
     s.flow.completion.cancel();
     if (s.flow.draining) graph_remove(slot);
     release_slot(slot);
     reassign_rates();
-    return Bytes::of(std::max<std::int64_t>(remaining, 0));
+    return left;
   }
   const TimePoint now = sim_.now();
-  FlowSlot& s = slots_[slot];
-  if (s.flow.draining && s.flow.group != kNoGroup) {
-    // Fast-path abort of a grouped member (crash teardown mid-incast):
-    // settle it exactly, then detach — the group re-rates in O(log n) or
-    // dissolves if the departure moves the bottleneck.
-    settle_flow(slot, now);
-    const auto remaining =
-        static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
-    group_remove_member(s.flow.group, slot, now);
-    return Bytes::of(std::max<std::int64_t>(remaining, 0));
-  }
-  if (s.flow.draining) {
-    std::array<LinkId, kMaxPathLinks> seeds = s.flow.path;
-    const std::uint8_t n_seeds = s.flow.path_len;
-    collect_component(seeds.data(), n_seeds);
-    settle_component(now);
-    const auto remaining =
-        static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
+  if (!s.flow.draining) {
+    // Still in setup: the flow held no capacity, so no rates change.
+    const Bytes left = unsent_bytes(s.flow);
     s.flow.completion.cancel();
-    graph_remove(slot);
     release_slot(slot);
-    refill_component();
-    return Bytes::of(std::max<std::int64_t>(remaining, 0));
+    return left;
   }
-  // Still in setup: the flow held no capacity, so no rates change.
-  const auto remaining =
-      static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
+  if (s.flow.group != kNoGroup) {
+    // Grouped member: settle it exactly, then detach — the group re-rates in
+    // O(log n) or dissolves if the departure moves the bottleneck.
+    settle_flow(slot, now);
+    const Bytes left = unsent_bytes(s.flow);
+    group_remove_member(s.flow.group, slot, now);
+    return left;
+  }
+  std::array<LinkId, kMaxPathLinks> seeds = s.flow.path;
+  collect_component(seeds.data(), s.flow.path_len);
+  settle_component(now);
+  const Bytes left = unsent_bytes(s.flow);
   s.flow.completion.cancel();
+  graph_remove(slot);
   release_slot(slot);
-  return Bytes::of(std::max<std::int64_t>(remaining, 0));
+  refill_component();
+  return left;
+}
+
+void FlowNetwork::finish_flow(std::uint32_t slot) {
+  const FlowId id = make_id(slots_[slot].generation, slot);
+  auto on_complete = std::move(slots_[slot].flow.on_complete);
+  const Bytes left = depart(slot);
+  PROPHET_CHECK_MSG(left == Bytes::zero(),
+                    "flow completion fired with bytes still pending");
+  if (on_complete) on_complete(id);
 }
 
 double FlowNetwork::flow_remaining_bytes(FlowId id) {
@@ -1093,38 +1104,13 @@ double FlowNetwork::flow_remaining_bytes(FlowId id) {
   } else {
     settle_flow(static_cast<std::uint32_t>(slot), sim_.now());
   }
-  return slots_[static_cast<std::size_t>(slot)].flow.remaining;
+  const Flow& f = slots_[static_cast<std::size_t>(slot)].flow;
+  return std::ldexp(static_cast<double>(f.size_qb - f.drained_qb), -kQuantumBits);
 }
 
 void FlowNetwork::complete_flow(FlowId id) {
   const std::ptrdiff_t found = find_slot(id);
-  if (found < 0) return;
-  const auto slot = static_cast<std::uint32_t>(found);
-  if (mode_ == RebalanceMode::kFull) {
-    advance_to_now();
-    FlowSlot& s = slots_[slot];
-    PROPHET_CHECK_MSG(s.flow.remaining <= 1.0,
-                      "flow completion fired with bytes still pending");
-    auto on_complete = std::move(s.flow.on_complete);
-    if (s.flow.draining) graph_remove(slot);
-    release_slot(slot);
-    reassign_rates();
-    if (on_complete) on_complete(id);
-    return;
-  }
-  const TimePoint now = sim_.now();
-  FlowSlot& s = slots_[slot];
-  std::array<LinkId, kMaxPathLinks> seeds = s.flow.path;
-  const std::uint8_t n_seeds = s.flow.path_len;
-  collect_component(seeds.data(), n_seeds);
-  settle_component(now);
-  PROPHET_CHECK_MSG(s.flow.remaining <= 1.0,
-                    "flow completion fired with bytes still pending");
-  auto on_complete = std::move(s.flow.on_complete);
-  graph_remove(slot);
-  release_slot(slot);
-  refill_component();
-  if (on_complete) on_complete(id);
+  if (found >= 0) finish_flow(static_cast<std::uint32_t>(found));
 }
 
 }  // namespace prophet::net

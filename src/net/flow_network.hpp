@@ -46,6 +46,14 @@
 // retained full algorithm after every rebalance. `RebalanceMode::kFull`
 // keeps the original whole-network path alive as the reference baseline
 // (bench/scale measures incremental speedup against it).
+//
+// Byte accounting is exact fixed point: progress is counted in quanta of
+// 2^-kQuantumBits bytes and every rate is quantized once per assignment to
+// whole quanta per nanosecond, so the work drained over an integer-ns span
+// is an exact integer product. Settlements therefore telescope — crediting
+// W(now) - W(mark) in any number of steps sums to one step — which makes
+// every byte total, tracker bin and completion time a function of the rate
+// trajectory alone, independent of when (or in which mode) settlement runs.
 #pragma once
 
 #include <array>
@@ -90,7 +98,8 @@ struct RebalanceStats {
   // Flows walked by those slow-path rebalances (settled + re-rated + their
   // completions rescheduled); rebalances/flows give the mean component size.
   std::uint64_t component_flows = 0;
-  // Per-flow settlement chunks applied (each one rate*elapsed credit).
+  // Flow settlements: calls that advanced a draining flow's accounting mark
+  // (each one O(1) plus the tracker bins the settled span crosses).
   std::uint64_t flows_settled = 0;
   // Rate-group lifecycle: formations, dissolutions back to the slow path,
   // and events (completion/admission/cancel/capacity change) absorbed by a
@@ -179,11 +188,11 @@ class FlowNetwork {
 
   // Aborts a flow without firing its completion callback (transport loss or
   // a crashed endpoint). Returns the bytes that had not yet drained, rounded
-  // up — what a byte-range-resuming retry would still have to send. Stale
-  // ids are a no-op returning zero.
+  // up to whole bytes — what a byte-range-resuming retry would still have to
+  // send. Stale ids are a no-op returning zero.
   Bytes cancel_flow(FlowId id);
-  // Bytes not yet drained, settled to now(); zero for stale ids. Kept as the
-  // raw fractional count so progress watchdogs see sub-byte movement.
+  // Bytes not yet drained, settled to now(); zero for stale ids. Reported
+  // with the fixed-point fraction so progress watchdogs see sub-byte movement.
   [[nodiscard]] double flow_remaining_bytes(FlowId id);
 
   [[nodiscard]] bool flow_active(FlowId id) const { return find_slot(id) >= 0; }
@@ -192,10 +201,14 @@ class FlowNetwork {
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
 
   // --- observability ------------------------------------------------------
-  // Optional per-node throughput series (bytes credited as flows drain).
+  // Optional per-node throughput series: each bin receives the whole bytes
+  // the link's flows drained during the bin's span, so a tracker's bin sum
+  // equals the link's total_bytes (within the series horizon). Attach before
+  // the link carries traffic.
   void attach_tracker(NodeId id, Direction dir, BinnedSeries* series);
-  // Bytes moved through the access link up to the current simulation time.
-  // Not const: in-flight flows are settled up to now() before reading.
+  // Whole bytes moved through the access link up to the current simulation
+  // time (each flow's drained quanta, truncated to bytes; a finished flow
+  // counts its exact size). Not const: in-flight flows are settled first.
   [[nodiscard]] std::int64_t total_bytes(NodeId id, Direction dir);
   // Cumulative time the access link had at least one draining flow, to now().
   [[nodiscard]] Duration busy_time(NodeId id, Direction dir);
@@ -204,6 +217,14 @@ class FlowNetwork {
   [[nodiscard]] std::size_t rate_group_count() const { return groups_live_; }
 
  private:
+  // Fixed-point work: quanta of 2^-kQuantumBits bytes (suffix _qb); rates
+  // are whole quanta per nanosecond (suffix _qbpns). 52 fractional bits keep
+  // a quantized rate within 1e-13 (relative) of its double even at a
+  // 1024-way share of 10 Gbps, and cap a single link at 2^11 bytes/ns
+  // (~16 Tbps). A work value is bytes * 2^52, hence the 128-bit type.
+  __extension__ typedef __int128 Quanta;
+  static constexpr int kQuantumBits = 52;
+
   // The unit of capacity and contention (an access port or a shared rack
   // uplink). `up` is per-link so a rack uplink can fail independently of the
   // hosts behind it. `busy_active`/`busy_mark` accrue busy time exactly
@@ -214,7 +235,7 @@ class FlowNetwork {
     Bandwidth cap;
     bool up = true;
     bool busy_active = false;
-    double total_bytes = 0.0;
+    std::int64_t total_bytes = 0;
     Duration busy{};
     TimePoint busy_mark{};
     BinnedSeries* tracker = nullptr;
@@ -233,9 +254,15 @@ class FlowNetwork {
   struct Flow {
     NodeId src;
     NodeId dst;
-    double remaining;  // bytes left to drain, settled to `last_settled`
+    Quanta size_qb = 0;
+    // Work drained up to `last_settled` (never above size_qb).
+    Quanta drained_qb = 0;
     bool draining = false;
-    double rate = 0.0;  // bytes/s, valid while draining
+    double rate = 0.0;  // bytes/s from progressive filling, valid while draining
+    // `rate` quantized at assignment; the only rate byte accounting reads.
+    std::int64_t rate_qbpns = 0;
+    // The last assignment changed rate_qbpns (its completion must move).
+    bool rerated = false;
     // The link path, fixed at admission (src.tx first, dst.rx last).
     std::array<LinkId, kMaxPathLinks> path;
     std::uint8_t path_len = 0;
@@ -244,14 +271,15 @@ class FlowNetwork {
     std::array<std::uint32_t, kMaxPathLinks> link_pos;
     // Admission order, the deterministic tie-break every walk uses.
     std::uint64_t admission = 0;
-    // Byte accounting is lazy: remaining/link totals are settled per flow
-    // from its piecewise-constant rate when its component is next touched.
+    // Byte accounting is lazy: drained work and link totals are settled per
+    // flow when its component is next touched.
     TimePoint last_settled{};
-    // Rate-group membership (kIncremental only): while grouped, `rate` may be
-    // stale — the live rate is the group's — and settlement replays the
-    // group's rate history from segment `group_hist` onward.
+    // Rate-group membership (kIncremental only): while grouped, `rate` and
+    // `rate_qbpns` may be stale — the live rate is the group's — and the
+    // flow settles against the group's shared work clock, whose value at
+    // `last_settled` is `group_mark_qb`.
     std::uint32_t group = kNoGroup;
-    std::uint32_t group_hist = 0;
+    Quanta group_mark_qb = 0;
     std::function<void(FlowId)> on_complete;
     sim::EventHandle completion;
   };
@@ -268,6 +296,7 @@ class FlowNetwork {
   struct LinkFill {
     double cap = 0.0;
     int unfrozen = 0;
+    bool tight = false;  // saturates in the current filling round
   };
 
   // --- rate groups (kIncremental fast path) --------------------------------
@@ -275,24 +304,21 @@ class FlowNetwork {
   // incast shape — progressive filling gives every flow the identical share
   // cap/n. Such a component is promoted to a *rate group*: members stop
   // carrying individual completion events and per-event settlement; instead
-  // the group keeps (a) a next-finisher heap ordered by virtual finish work
-  // (drained work at join + remaining bytes at join), (b) a piecewise-
-  // constant rate history so a member settles lazily by replaying exactly
-  // the per-boundary chunks the eager engine would have applied (bit-
-  // identical byte/tracker accounting), and (c) one simulator lane aimed at
-  // the head's completion. A completion/admission/cancel then costs O(log n)
-  // heap work plus O(1) boundary bookkeeping; anything that can change the
-  // bottleneck structure (a BFS reaching the group, a link going down, the
-  // risen share crossing another link's) dissolves the group back to the
-  // slow path, which re-forms it if the shape still qualifies.
-  struct GroupSegment {
-    TimePoint start;
-    double rate;  // in force from `start` until the next segment's start
-  };
+  // the group keeps (a) a shared per-member work clock W(t), the work each
+  // member drained since formation, (b) a next-finisher heap ordered by
+  // virtual finish (W at join + work remaining at join), and (c) one
+  // simulator lane aimed at the head's completion. A member settles in O(1)
+  // as W(now) - W(mark); W at each tracker-bin edge the group crosses is
+  // recorded so tracker credits cost O(bins spanned). A completion/admission/
+  // cancel costs O(log n) heap work plus O(1) bookkeeping; anything that can
+  // change the bottleneck structure (a BFS reaching the group, a link going
+  // down, the risen share crossing another link's) dissolves the group back
+  // to the slow path, which re-forms it if the shape still qualifies.
+  //
   // Next-finisher heap entry; lazy deletion (an entry is live while its slot
   // still holds the same admission and membership).
   struct GroupEntry {
-    double vfinish;
+    Quanta vfinish_qb;
     std::uint64_t admission;
     std::uint32_t slot;
   };
@@ -300,15 +326,19 @@ class FlowNetwork {
     LinkId anchor = 0;
     std::uint32_t n = 0;  // live members
     double rate = 0.0;    // current per-member share, bit-equal to fill's cap/n
+    std::int64_t rate_qbpns = 0;
     // Conservative lower bound on every non-anchor member-link fair share;
     // the group stays valid while its rate never exceeds this.
     double min_other_share = 0.0;
-    // Cumulative per-member drained bytes since formation (one product per
-    // boundary); orders the heap, never used for byte accounting.
-    double virtual_work = 0.0;
-    TimePoint last_boundary{};
+    // W(t) = seg_work_qb + rate_qbpns * (t - seg_start) for t >= seg_start.
+    TimePoint seg_start{};
+    Quanta seg_work_qb = 0;
+    // The network's tracker bin grid at formation (0: no tracker), and W at
+    // grid edges first_edge, first_edge + 1, ... up to seg_start.
+    std::int64_t edge_width_ns = 0;
+    std::int64_t first_edge = 0;
+    std::vector<Quanta> edge_work_qb;
     sim::LaneId lane = sim::kNoLane;
-    std::vector<GroupSegment> history;
     std::vector<GroupEntry> heap;  // binary min-heap on (vfinish, admission)
     bool live = false;
   };
@@ -316,6 +346,9 @@ class FlowNetwork {
   // Components below this size stay on the slow path: tiny refills are cheap
   // and the small pinned-golden scenarios keep their exact event sequences.
   static constexpr std::size_t kMinGroupFlows = 8;
+  // tracker_bin_ns_ once two trackers disagree on bin width (groups then
+  // stay off: a group records its work clock on one bin grid).
+  static constexpr std::int64_t kMixedTrackerWidths = -1;
 
   static constexpr FlowId make_id(std::uint32_t generation, std::uint32_t slot) {
     return (static_cast<FlowId>(generation) << 32) | slot;
@@ -326,7 +359,6 @@ class FlowNetwork {
   LinkId add_link(std::string name, Bandwidth cap);
   Link& link(LinkId id);
   [[nodiscard]] const Link& link(LinkId id) const;
-  Link& access_link(NodeId id, Direction dir);
   [[nodiscard]] const Link& access_link(NodeId id, Direction dir) const;
   // Writes the current path into `out`, returns its length.
   std::uint8_t compute_path(NodeId src, NodeId dst,
@@ -339,8 +371,28 @@ class FlowNetwork {
   // BFS over the contention graph from `seeds` into comp_links_/comp_flows_
   // (flows sorted by admission). Seeds are always included in comp_links_.
   void collect_component(const LinkId* seeds, std::size_t n_seeds);
-  // Credits the flow's drained bytes to its links for [last_settled, now].
+  // Credits the flow's drained bytes to its links for [last_settled, now]:
+  // O(1) plus the tracker bins the span crosses, grouped or not.
   void settle_flow(std::uint32_t slot, TimePoint now);
+  // Credits work drained over [from, to] (drained_qb went `from_qb` ->
+  // `to_qb`) to each path link's byte total and tracker; `work_at(t_ns)`
+  // gives drained_qb at an interior tracker-bin edge.
+  template <typename WorkAt>
+  void credit_links(const Flow& f, TimePoint from, TimePoint to, Quanta from_qb,
+                    Quanta to_qb, WorkAt&& work_at);
+  // Assigns a filling rate and its quantized twin.
+  static void set_flow_rate(Flow& f, double rate);
+  // bytes/s -> whole quanta per ns (at least one for any positive rate).
+  static std::int64_t quantize_rate(double rate);
+  // Work truncated to whole bytes.
+  static std::int64_t whole_bytes(Quanta work_qb) {
+    return static_cast<std::int64_t>(work_qb >> kQuantumBits);
+  }
+  // Work the flow still has to drain, rounded up to whole bytes.
+  static Bytes unsent_bytes(const Flow& f);
+  // Whole nanoseconds until `remaining_qb` drains at `rate_qbpns` (> 0),
+  // rounded up: the first instant at which the work is done.
+  static Duration drain_time(Quanta remaining_qb, std::int64_t rate_qbpns);
   // Accrues the link's busy time to `now`.
   void settle_link_busy(LinkId id, TimePoint now);
   // Settles every flow and link of the component already in comp_* buffers.
@@ -351,13 +403,14 @@ class FlowNetwork {
   // enter_drain / complete_flow).
   void rebalance_from(const LinkId* seeds, std::size_t n_seeds);
   // Progressive filling over `flow_slots` (admission-sorted, draining);
-  // set_rate(slot, rate) receives every assignment. Uses fill_/scratch.
+  // set_rate(slot, rate) receives each flow's rate once. Uses fill_/scratch.
   template <typename SetRate>
   void progressive_fill(const std::vector<std::uint32_t>& flow_slots,
                         SetRate&& set_rate);
   // Filling + busy-flag refresh + completion rescheduling for comp_flows_.
   void refill_component();
-  // Cancels + reschedules the completion event of one draining flow.
+  // Moves one draining flow's completion event to its ETA at the current
+  // rate; a pending event at an unchanged quantized rate stays put.
   void reschedule_completion(std::uint32_t slot);
   // Asserts every draining flow's rate matches a full recompute bit-for-bit.
   void verify_against_full();
@@ -368,18 +421,17 @@ class FlowNetwork {
   // Promotes comp_flows_/comp_links_ to a rate group when the shape
   // qualifies; called at the end of every slow-path refill.
   void maybe_form_group();
-  // Settles a grouped flow by replaying the group's rate history (the exact
-  // chunk sequence the eager engine would have applied).
-  void settle_group_flow(std::uint32_t slot, TimePoint now);
-  // Advances the group's virtual-work clock to `now`.
-  void group_advance(RateGroup& g, TimePoint now);
-  // Boundary: advance virtual work, then switch the group to `rate`.
-  void group_set_rate(RateGroup& g, double rate, TimePoint now);
+  // The group's work clock at `t`: from the live segment for t >= seg_start,
+  // else from the recorded tracker-bin edges (t must be a grid edge then).
+  [[nodiscard]] static Quanta group_work_at(const RateGroup& g, std::int64_t t_ns);
+  // Boundary: record the bin edges the closing segment crossed, then start a
+  // new segment at `rate`.
+  static void group_set_rate(RateGroup& g, double rate, TimePoint now);
   void group_heap_push(RateGroup& g, const GroupEntry& e);
   void group_heap_pop(RateGroup& g);
   // Drops stale heap entries; returns the live head slot or -1 if empty.
   std::ptrdiff_t group_heap_head(std::uint32_t gid);
-  // Settles the head to `now` and re-aims the group's lane at its finish.
+  // Re-aims the group's lane at its head's finish.
   void group_rearm(std::uint32_t gid, TimePoint now);
   // Fast-path admission of a settled, not-yet-draining flow; returns false
   // (leaving all state untouched) when the arrival must take the slow path.
@@ -398,6 +450,12 @@ class FlowNetwork {
   void group_verify(std::uint32_t gid);
   // Lane callback: the group head finished.
   void group_lane_fire(std::uint32_t gid);
+  // Slot ordering by admission, the deterministic walk order everywhere.
+  auto by_admission() const {
+    return [this](std::uint32_t a, std::uint32_t b) {
+      return slots_[a].flow.admission < slots_[b].flow.admission;
+    };
+  }
   // All draining flow slots, in admission order (full/verify paths).
   void gather_draining_by_admission(std::vector<std::uint32_t>& out) const;
   void remove_active(std::uint32_t slot);
@@ -412,6 +470,11 @@ class FlowNetwork {
 
   void enter_drain(FlowId id);
   void complete_flow(FlowId id);
+  // Settles and detaches a flow in either mode, re-rating whatever it shared
+  // capacity with; returns its unsent bytes.
+  Bytes depart(std::uint32_t slot);
+  // depart() for a drained flow, then its completion callback.
+  void finish_flow(std::uint32_t slot);
   void release_slot(std::uint32_t slot);
 
   sim::Simulator& sim_;
@@ -450,6 +513,8 @@ class FlowNetwork {
   std::vector<RateGroup> groups_;
   std::vector<std::uint32_t> free_groups_;
   std::size_t groups_live_ = 0;
+  // Bin width shared by every attached tracker (0: none attached).
+  std::int64_t tracker_bin_ns_ = 0;
   RebalanceStats stats_;
 };
 

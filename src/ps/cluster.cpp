@@ -53,7 +53,11 @@ ClusterResult Cluster::run(std::optional<std::size_t> measure_first) {
   sim.run_until(horizon);
   job.finish_audit();
 
-  return job.collect(measure_first, sim.events_fired());
+  ClusterResult result = job.collect(measure_first, sim.events_fired());
+  for (net::LinkId l = 0; l < network.link_count(); ++l) {
+    result.link_bytes.push_back(network.link_total_bytes(l));
+  }
+  return result;
 }
 
 ClusterResult run_cluster(const ClusterConfig& config,

@@ -50,6 +50,9 @@ struct ClusterResult {
   // multi-job sharing the fabric is common, so every job reports the same
   // shared snapshot.
   net::RebalanceStats rebalance;
+  // Whole bytes each fabric link carried over the run, indexed by LinkId
+  // (single-job driver only).
+  std::vector<std::int64_t> link_bytes;
 
   // Mean per-worker training rate (samples/s) over the window.
   [[nodiscard]] double mean_rate() const;

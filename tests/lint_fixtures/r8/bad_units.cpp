@@ -20,4 +20,10 @@ void fixture_mixed_compound(std::int64_t total_bytes, std::int64_t rate_bps) {
   total_bytes += rate_bps;  // expect(R8)
 }
 
+void fixture_mixed_quanta(std::int64_t drained_qb, std::int64_t rate_qbpns,
+                          std::int64_t moved_bytes) {
+  drained_qb += rate_qbpns;  // expect(R8)
+  moved_bytes = drained_qb;  // expect(R8)
+}
+
 }  // namespace prophet::sched

@@ -21,4 +21,9 @@ void fixture_converted(std::int64_t span_ns) {
   (void)span_ms;
 }
 
+std::int64_t fixture_quanta(std::int64_t drained_qb, std::int64_t rate_qbpns,
+                            std::int64_t span_ns) {
+  return drained_qb + (rate_qbpns * span_ns);  // a product is untagged
+}
+
 }  // namespace prophet::sched

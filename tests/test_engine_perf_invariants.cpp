@@ -2,90 +2,47 @@
 //
 // The event pool, the incremental local-search evaluator, the flat-vector
 // BlockPlanner, and the slab-based FlowNetwork are all pure performance work:
-// simulation *results* must not move. Every constant below was captured from
-// the pre-optimization engine (tools/golden_capture.cpp, commit 92aa530) and
-// the optimized engine must keep reproducing it bit for bit — schedules,
-// WaitTimeBreakdowns, fired-event counts, and full cluster runs.
+// simulation *results* must not move. The scenarios live in
+// golden_scenarios.hpp; tools/golden_capture (a build target) prints their
+// current outputs, and the constants below pin them bit for bit —
+// schedules, WaitTimeBreakdowns, fired-event counts, and full cluster runs.
 //
-// The one intentional exception: FlowNetwork's FlowId values changed encoding
-// (sequential counter -> {generation, slot}), and simultaneous same-nanosecond
-// flow completions now fire in deterministic admission order instead of
-// unordered_map hash order. The flow-scenario hash below is therefore the
-// post-change capture; the scenario's completion *times*, byte totals, busy
-// time, and event counts are pinned to the pre-change values.
+// Capture history. The planner, refine and simulator constants come from the
+// pre-optimization engine (commit 92aa530). FlowNetwork's FlowId encoding
+// ({generation, slot}) and same-nanosecond completion order (admission
+// order) changed the flow-scenario hash once. Exact fixed-point byte
+// accounting re-captured the flow and cluster goldens once more: completion
+// instants now come from integer ceil-division of the remaining work by the
+// quantized rate instead of rounding a double quotient, which moved them by
+// nanoseconds (the churn hash; fifo cluster 11089550816 -> 11089551302 ns,
+// prophet 8484657037 -> 8484657046 ns), and the churn's PS-ingress total
+// became the exact 62914560 bytes pushed (was 62914559, one byte lost to
+// double truncation). Event counts, busy time and rates did not move.
 //
-// Incremental max-min recomputation (RebalanceMode::kIncremental, now the
-// default) moved NO goldens: component-local rebalance reproduces the full
-// algorithm's rates bit-identically (tests/test_incremental_rates.cpp proves
-// this per-event under verify mode) and, in these scenarios, the identical
-// event trajectories too. The flow and cluster goldens below therefore run
-// under BOTH modes against the same constants — if a future change moves one
-// mode but not the other, the failure pinpoints which engine diverged.
+// Incremental max-min recomputation (RebalanceMode::kIncremental, the
+// default) reproduces the full algorithm's rates bit-identically
+// (tests/test_incremental_rates.cpp proves this per-event under verify
+// mode), and exact settlement makes byte totals, tracker bins and
+// completion instants functions of those rates alone. The flow and cluster
+// goldens below therefore run under BOTH modes against the same constants —
+// if a future change moves one mode but not the other, the failure
+// pinpoints which engine diverged. The grouped incast is the one scenario
+// large enough to form a rate group, so it pins the O(log n) fast path and
+// its tracker accounting against the kFull reference.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-#include "core/block_planner.hpp"
-#include "core/local_search.hpp"
-#include "core/perf_model.hpp"
-#include "dnn/iteration_model.hpp"
-#include "dnn/model_zoo.hpp"
-#include "dnn/stepwise.hpp"
-#include "net/flow_network.hpp"
-#include "ps/cluster.hpp"
-#include "sim/simulator.hpp"
+#include "golden_scenarios.hpp"
 
 namespace prophet {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t hash_schedule(const core::Schedule& s) {
-  std::uint64_t h = kFnvSeed;
-  for (const auto& t : s.tasks) {
-    h = fnv1a(h, static_cast<std::uint64_t>(t.start.count_nanos()));
-    h = fnv1a(h, t.grads.size());
-    for (std::size_t g : t.grads) h = fnv1a(h, g);
-  }
-  return h;
-}
-
-std::uint64_t hash_breakdown(const core::WaitTimeBreakdown& b) {
-  std::uint64_t h = kFnvSeed;
-  h = fnv1a(h, static_cast<std::uint64_t>(b.t_wait.count_nanos()));
-  h = fnv1a(h, static_cast<std::uint64_t>(b.span.count_nanos()));
-  for (auto d : b.update_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
-  for (auto d : b.forward_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
-  return h;
-}
-
-core::GradientProfile model_profile(const dnn::ModelSpec& model) {
-  const dnn::IterationModel iteration{model, dnn::tesla_m60_pair(), 64};
-  const auto timing = iteration.nominal();
-  core::GradientProfile profile;
-  profile.ready = timing.ready_offset;
-  for (const auto& tensor : iteration.model().tensors()) {
-    profile.sizes.push_back(tensor.bytes);
-  }
-  profile.intervals = dnn::transfer_intervals(profile.ready);
-  profile.iterations_profiled = 1;
-  return profile;
-}
-
-core::PerfModel model_perf(const dnn::ModelSpec& model) {
-  const dnn::IterationModel iteration{model, dnn::tesla_m60_pair(), 64};
-  return core::PerfModel{model_profile(model), iteration.nominal().fwd,
-                         Bandwidth::gbps(3), net::TcpCostModel{}};
-}
+using golden::hash_breakdown;
+using golden::hash_schedule;
+using golden::model_perf;
+using golden::model_profile;
 
 struct RefineGolden {
   std::int64_t t_wait_ns;
@@ -158,19 +115,9 @@ TEST(GoldenRefine, ResNet152FromPlanner) {
                  12650727571343511294ull, 54});
 }
 
-core::Schedule chunked_schedule(std::size_t n, std::size_t chunk) {
-  core::Schedule initial;
-  for (std::size_t g = 0; g < n; g += chunk) {
-    core::ScheduledTask task;
-    for (std::size_t k = g; k < std::min(n, g + chunk); ++k) task.grads.push_back(k);
-    initial.tasks.push_back(std::move(task));
-  }
-  return initial;
-}
-
 TEST(GoldenRefine, ResNet50SingletonStart) {
   const auto pm = model_perf(dnn::resnet50());
-  const auto initial = chunked_schedule(pm.profile().gradient_count(), 1);
+  const auto initial = golden::chunked_schedule(pm.profile().gradient_count(), 1);
   expect_refine(core::LocalSearchPlanner{16}.refine(initial, pm),
                 {8891136, 850401379, 210, 3202, 3126980536504625264ull,
                  1389798525086048094ull, 17});
@@ -178,41 +125,20 @@ TEST(GoldenRefine, ResNet50SingletonStart) {
 
 TEST(GoldenRefine, ResNet152ChunkedStart) {
   const auto pm = model_perf(dnn::resnet152());
-  const auto initial = chunked_schedule(pm.profile().gradient_count(), 4);
+  const auto initial = golden::chunked_schedule(pm.profile().gradient_count(), 4);
   expect_refine(core::LocalSearchPlanner{16}.refine(initial, pm),
                 {4000000, 2264715373, 79, 1339, 4124185615626618052ull,
                  775783153660606382ull, 70});
 }
 
-core::LocalSearchResult refine_random(std::uint64_t seed, std::size_t n) {
-  Rng rng{seed};
-  std::vector<Duration> ready(n);
-  std::vector<Bytes> sizes(n);
-  Duration clock{};
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t idx = n - 1 - step;
-    if (step == 0 || rng.bernoulli(0.6)) clock += Duration::millis(rng.uniform_int(2, 25));
-    ready[idx] = clock;
-    sizes[idx] = Bytes::kib(rng.uniform_int(16, 4096));
-  }
-  core::GradientProfile profile;
-  profile.ready = ready;
-  profile.sizes = sizes;
-  profile.intervals = dnn::transfer_intervals(profile.ready);
-  profile.iterations_profiled = 1;
-  const std::vector<Duration> fwd(n, Duration::millis(2));
-  const core::PerfModel pm{profile, fwd, Bandwidth::gbps(1), net::TcpCostModel{}};
-  return core::LocalSearchPlanner{32}.refine(chunked_schedule(n, 1), pm);
-}
-
 TEST(GoldenRefine, RandomProfileSeed7) {
-  expect_refine(refine_random(7, 48),
+  expect_refine(golden::refine_random(7, 48),
                 {653038400, 1146038400, 41, 412, 17919456594412970032ull,
                  11100656567336626467ull, 9});
 }
 
 TEST(GoldenRefine, RandomProfileSeed99) {
-  expect_refine(refine_random(99, 64),
+  expect_refine(golden::refine_random(99, 64),
                 {1032091680, 1675091680, 54, 558, 16290249102299553018ull,
                  7461085279390808929ull, 12});
 }
@@ -220,107 +146,74 @@ TEST(GoldenRefine, RandomProfileSeed99) {
 // --- Simulator goldens ------------------------------------------------------
 
 TEST(GoldenSim, MixedCancelAndPeriodicTrace) {
-  sim::Simulator sim;
-  Rng rng{12345};
-  std::vector<sim::EventHandle> handles;
-  std::uint64_t work = 0;
-  for (int i = 0; i < 5000; ++i) {
-    auto h = sim.schedule_after(Duration::micros(rng.uniform_int(0, 100000)),
-                                [&work] { ++work; });
-    if (rng.bernoulli(0.25)) handles.push_back(h);
-  }
-  for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
-  sim::EventHandle periodic = sim.schedule_periodic(Duration::micros(700), [&](TimePoint) {
-    ++work;
-    if (work > 5500) periodic.cancel();
-  });
-  sim.schedule_after(Duration::millis(3), [&] {
-    sim.schedule_after(Duration::millis(1), [&work] { work += 10; });
-  });
-  sim.run();
-  EXPECT_EQ(sim.events_fired(), 5493u);
-  EXPECT_EQ(work, 5501u);
-  EXPECT_EQ(sim.now().count_nanos(), 758800000);
+  const golden::SimOutcome out = golden::run_mixed_cancel_and_periodic();
+  EXPECT_EQ(out.events, 5493u);
+  EXPECT_EQ(out.work, 5501u);
+  EXPECT_EQ(out.end_ns, 758800000);
 }
 
 // --- FlowNetwork goldens ----------------------------------------------------
 
-void run_churn_with_dynamics(net::RebalanceMode mode) {
-  sim::Simulator sim;
-  net::FlowNetwork net{sim, net::TcpCostModel{}, mode};
-  const auto ps = net.add_node("ps", Bandwidth::gbps(10), Bandwidth::gbps(10));
-  std::vector<net::NodeId> workers;
-  for (int i = 0; i < 4; ++i)
-    workers.push_back(net.add_node("w", Bandwidth::gbps(5), Bandwidth::gbps(5)));
-  std::uint64_t h = kFnvSeed;
-  int done = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      net.start_flow(workers[w], ps, Bytes::mib(static_cast<std::int64_t>(1 + w)),
-                     [&](net::FlowId id) {
-                       ++done;
-                       h = fnv1a(h, id);
-                       h = fnv1a(h, static_cast<std::uint64_t>(sim.now().count_nanos()));
-                     });
-      net.start_flow(ps, workers[w], Bytes::kib(512), [&](net::FlowId id) {
-        ++done;
-        h = fnv1a(h, id);
-        h = fnv1a(h, static_cast<std::uint64_t>(sim.now().count_nanos()));
-      });
-    }
-    sim.schedule_after(Duration::millis(1),
-                       [&] { net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(8)); });
-    sim.schedule_after(Duration::millis(2), [&] { net.set_link_up(workers[1], false); });
-    sim.schedule_after(Duration::millis(4), [&] { net.set_link_up(workers[1], true); });
-    sim.run();
-    net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(10));
-  }
-  EXPECT_EQ(done, 48);
-  // Pre-change values: completion times, event count, PS-ingress byte total
-  // and busy time are all unchanged by the slab rewrite.
-  EXPECT_EQ(sim.events_fired(), 114u);
-  EXPECT_EQ(sim.now().count_nanos(), 83344476);
-  EXPECT_EQ(net.total_bytes(ps, net::Direction::kRx), 62914559);
-  EXPECT_EQ(net.busy_time(ps, net::Direction::kRx).count_nanos(), 66689436);
-  // Post-change capture (FlowId encoding + same-instant completion tie order
-  // are the documented exceptions; see the file comment).
-  EXPECT_EQ(h, 11853743091979687350ull);
+void expect_churn_golden(const golden::FlowOutcome& out) {
+  EXPECT_EQ(out.done, 48);
+  EXPECT_EQ(out.events, 114u);
+  EXPECT_EQ(out.end_ns, 83344476);
+  // Exactly the 6 x (1+2+3+4) MiB pushed: fixed-point settlement loses no
+  // byte to truncation.
+  EXPECT_EQ(out.ps_rx_bytes, 62914560);
+  EXPECT_EQ(out.ps_rx_busy_ns, 66689436);
+  EXPECT_EQ(out.hash, 1437601476341347098ull);
 }
 
 TEST(GoldenFlows, ChurnWithDynamicsTrace) {
-  run_churn_with_dynamics(net::RebalanceMode::kIncremental);
+  expect_churn_golden(golden::run_churn_with_dynamics(net::RebalanceMode::kIncremental));
 }
 
 TEST(GoldenFlows, ChurnWithDynamicsTraceFullRebalance) {
-  run_churn_with_dynamics(net::RebalanceMode::kFull);
+  expect_churn_golden(golden::run_churn_with_dynamics(net::RebalanceMode::kFull));
+}
+
+void expect_grouped_incast_golden(const golden::IncastOutcome& out) {
+  EXPECT_EQ(out.done, 31);  // one of the 32 is cancelled mid-incast
+  EXPECT_EQ(out.events, 98u);
+  EXPECT_EQ(out.end_ns, 26606719);
+  EXPECT_EQ(out.completion_hash, 532775338822432834ull);
+  EXPECT_EQ(out.link_bytes_hash, 15248345223162335679ull);
+  EXPECT_EQ(out.ps_rx_bytes, 11540759);
+  EXPECT_EQ(out.bins_hash, 13517934231860257031ull);
+  EXPECT_TRUE(out.tracker_sums_match);
+}
+
+TEST(GoldenFlows, GroupedIncastWithTrackers) {
+  const golden::IncastOutcome out =
+      golden::run_grouped_incast(net::RebalanceMode::kIncremental);
+  expect_grouped_incast_golden(out);
+  // The scenario must actually run on the rate-group path.
+  EXPECT_GE(out.stats.group_forms, 1u);
+  EXPECT_GT(out.stats.group_fast_events, 0u);
+}
+
+TEST(GoldenFlows, GroupedIncastWithTrackersFullRebalance) {
+  expect_grouped_incast_golden(golden::run_grouped_incast(net::RebalanceMode::kFull));
 }
 
 // --- Full-cluster goldens ---------------------------------------------------
 
-ps::ClusterResult run_golden_cluster(const ps::StrategyConfig& strategy,
-                                     net::RebalanceMode mode) {
-  ps::ClusterConfig cfg;
-  cfg.model = dnn::resnet50();
-  cfg.num_workers = 3;
-  cfg.batch = 64;
-  cfg.iterations = 10;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
-  cfg.strategy = strategy;
-  cfg.strategy.prophet_config.profile_iterations = 4;
-  cfg.rate_rebalance = mode;
-  return ps::run_cluster(cfg, 5);
-}
-
 void expect_fifo_golden(const ps::ClusterResult& result) {
   EXPECT_EQ(result.events_fired, 36038u);
-  EXPECT_EQ(result.simulated_time.count_nanos(), 11089550816);
+  EXPECT_EQ(result.simulated_time.count_nanos(), 11089551302);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 5618);
 }
 
 void expect_prophet_golden(const ps::ClusterResult& result) {
   EXPECT_EQ(result.events_fired, 10838u);
-  EXPECT_EQ(result.simulated_time.count_nanos(), 8484657037);
+  EXPECT_EQ(result.simulated_time.count_nanos(), 8484657046);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 7537);
+}
+
+ps::ClusterResult run_golden_cluster(const ps::StrategyConfig& strategy,
+                                     net::RebalanceMode mode) {
+  return ps::run_cluster(golden::golden_cluster_config(strategy, mode), 5);
 }
 
 TEST(GoldenCluster, FifoTrace) {

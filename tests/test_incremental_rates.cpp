@@ -8,11 +8,11 @@
 // fabrics, plus chaos-style fault cells (crash/loss) at cluster level.
 //
 // Cross-mode runs (kIncremental vs kFull) are compared on conserved
-// quantities only: the two modes assign bit-identical *rates*, but may order
-// same-nanosecond completion events differently (kFull reschedules every
-// completion on every change, re-rounding ETAs network-wide), so full event
-// streams are not comparable — the golden exceptions in
-// test_engine_perf_invariants.cpp document this.
+// quantities: the two modes assign bit-identical *rates*, and fixed-point
+// settlement makes byte totals and completion instants functions of those
+// rates alone, so the totals must match exactly. Full event streams are not
+// compared: kFull reschedules every completion on every change, so
+// same-nanosecond events may fire in a different order.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -21,6 +21,7 @@
 
 #include "cluster/multi_job.hpp"
 #include "common/rng.hpp"
+#include "common/time_series.hpp"
 #include "dnn/model_zoo.hpp"
 #include "net/flow_network.hpp"
 #include "ps/cluster.hpp"
@@ -164,8 +165,8 @@ TEST(IncrementalRates, OutageParksFlowsAtZeroAndVerifies) {
 }
 
 // The two modes must agree on conserved quantities: every flow completes,
-// and each access link carries the same byte total (settlement chunking
-// differs, so totals agree to sub-byte floating-point residue per flow).
+// and each access link carries the same byte total, to the byte (settlement
+// splits differ, and exact accounting makes that immaterial).
 TEST(IncrementalRates, CrossModeByteConservation) {
   std::vector<std::int64_t> totals[2];
   int completed[2] = {0, 0};
@@ -190,9 +191,7 @@ TEST(IncrementalRates, CrossModeByteConservation) {
   EXPECT_EQ(completed[0], completed[1]);
   ASSERT_EQ(totals[0].size(), totals[1].size());
   for (std::size_t i = 0; i < totals[0].size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(totals[0][i]),
-                static_cast<double>(totals[1][i]), 64.0)
-        << "link index " << i;
+    EXPECT_EQ(totals[0][i], totals[1][i]) << "link index " << i;
   }
 }
 
@@ -419,6 +418,114 @@ TEST(RateGroups, ClusterCrashPlanAbortsGroupedFlowsVerified) {
     EXPECT_EQ(w.iterations_completed, cfg.iterations);
   }
   EXPECT_EQ(result.rebalance.verify_mismatches, 0u);
+}
+
+// --- Fixed-point settlement ---------------------------------------------------
+
+struct IncastRun {
+  std::vector<std::int64_t> done_ns;  // per flow, -1 if it never completed
+  std::vector<std::int64_t> link_bytes;
+  std::vector<double> bins;  // every tracker bin, PS ingress first
+  bool tracker_sums_match = true;
+  RebalanceStats stats;
+};
+
+// `flows` workers push odd-sized flows into a 1 Gbps PS NIC at staggered
+// starts, under verify mode, with 1 ms trackers on every access link. The
+// PS ingress bottlenecks everyone, so the incast runs as a rate group. With
+// a nonzero `poll_seed`, 300 seeded instants each settle one random flow
+// (flow_remaining_bytes) and every fifth one the whole PS ingress
+// (link_total_bytes), splitting settlements at arbitrary mid-segment points.
+IncastRun run_incast(int flows, std::uint64_t poll_seed) {
+  Fixture f;
+  f.net.set_verify_rates(true);
+  const Duration bin = 1_ms;
+  const Duration horizon = Duration::seconds(5);
+  const NodeId ps = f.net.add_node("ps", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  BinnedSeries ps_rx{bin, horizon};
+  f.net.attach_tracker(ps, Direction::kRx, &ps_rx);
+  const auto n = static_cast<std::size_t>(flows);
+  std::vector<NodeId> workers;
+  std::vector<BinnedSeries> tx(n, BinnedSeries{bin, horizon});
+  for (std::size_t i = 0; i < n; ++i) {
+    workers.push_back(f.net.add_node("w" + std::to_string(i), Bandwidth::gbps(1),
+                                     Bandwidth::gbps(1)));
+    f.net.attach_tracker(workers.back(), Direction::kTx, &tx[i]);
+  }
+  IncastRun run;
+  run.done_ns.assign(n, -1);
+  std::vector<FlowId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    f.sim.schedule_after(Duration::micros(100 * static_cast<std::int64_t>(i)), [&, i] {
+      ids[i] = f.net.start_flow(
+          workers[i], ps, Bytes::of(1'000'000 + 3'331 * static_cast<std::int64_t>(i)),
+          [&, i](FlowId) { run.done_ns[i] = f.sim.now().count_nanos(); });
+    });
+  }
+  if (poll_seed != 0) {
+    Rng rng{poll_seed};
+    const std::int64_t span_ns = static_cast<std::int64_t>(n) * 8'000'000;
+    for (int k = 0; k < 300; ++k) {
+      const auto at = TimePoint::from_nanos(rng.uniform_int(1, span_ns));
+      const auto who = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      f.sim.schedule_at(at, [&f, &ids, ps, who, k] {
+        (void)f.net.flow_remaining_bytes(ids[who]);
+        if (k % 5 == 0) (void)f.net.total_bytes(ps, Direction::kRx);
+      });
+    }
+  }
+  f.sim.run();
+  for (LinkId l = 0; l < f.net.link_count(); ++l) {
+    run.link_bytes.push_back(f.net.link_total_bytes(l));
+  }
+  const auto fold = [&run](const BinnedSeries& series, std::int64_t link_bytes) {
+    double sum = 0.0;
+    for (std::size_t b = 0; b < series.bin_count(); ++b) {
+      run.bins.push_back(series.bin_amount(b));
+      sum += series.bin_amount(b);
+    }
+    run.tracker_sums_match =
+        run.tracker_sums_match && sum == static_cast<double>(link_bytes);
+  };
+  fold(ps_rx, f.net.total_bytes(ps, Direction::kRx));
+  for (std::size_t i = 0; i < n; ++i) {
+    fold(tx[i], f.net.total_bytes(workers[i], Direction::kTx));
+  }
+  run.stats = f.net.rebalance_stats();
+  return run;
+}
+
+// Settlement telescopes: splitting a grouped flow's settlement at arbitrary
+// instants (progress polls, link-total reads) credits exactly what one
+// settlement would — completion instants, link totals and every tracker bin
+// are bit-equal to the unpolled run.
+TEST(FixedPointSettlement, PolledIncastIsBitEqualToUnpolled) {
+  const IncastRun plain = run_incast(24, 0);
+  ASSERT_GE(plain.stats.group_forms, 1u);
+  for (const std::uint64_t seed : {11u, 29u, 47u}) {
+    const IncastRun polled = run_incast(24, seed);
+    EXPECT_GT(polled.stats.flows_settled, plain.stats.flows_settled);
+    EXPECT_EQ(polled.done_ns, plain.done_ns) << "seed " << seed;
+    EXPECT_EQ(polled.link_bytes, plain.link_bytes) << "seed " << seed;
+    EXPECT_EQ(polled.bins, plain.bins) << "seed " << seed;
+    EXPECT_TRUE(polled.tracker_sums_match) << "seed " << seed;
+  }
+  EXPECT_TRUE(plain.tracker_sums_match);
+  for (const std::int64_t t : plain.done_ns) EXPECT_GE(t, 0);
+}
+
+// A grouped member settles in O(1) when it completes (or is polled), never
+// once per rate boundary it lived through: quadrupling the incast at most
+// quadruples the settlements, plus slack for the slow-path flows before the
+// group forms.
+TEST(FixedPointSettlement, SettlementsGrowLinearlyWithIncastSize) {
+  const IncastRun small = run_incast(64, 0);
+  const IncastRun large = run_incast(256, 0);
+  ASSERT_GE(small.stats.group_forms, 1u);
+  ASSERT_GE(large.stats.group_forms, 1u);
+  EXPECT_LE(static_cast<double>(large.stats.flows_settled),
+            4.5 * static_cast<double>(small.stats.flows_settled));
 }
 
 // Two jobs contending across a shared oversubscribed spine, verified: job

@@ -12,6 +12,10 @@ struct ZooCase {
   double tolerance;  // relative
 };
 
+// Print a case by model name. gtest's default byte dump would put the address
+// of `name` into every test id, so the ids would change with each load address.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << c.name; }
+
 class ModelZooParams : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ModelZooParams, ParameterCountMatchesPublished) {

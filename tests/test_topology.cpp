@@ -171,7 +171,7 @@ TEST(TopologyGolden, StarSpecMatchesLegacyGoldenTrace) {
   const auto result = ps::run_cluster(cfg, 5);
   // Constants from GoldenCluster.FifoTrace (test_engine_perf_invariants.cpp).
   EXPECT_EQ(result.events_fired, 36038u);
-  EXPECT_EQ(result.simulated_time.count_nanos(), 11089550816);
+  EXPECT_EQ(result.simulated_time.count_nanos(), 11089551302);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 5618);
 }
 

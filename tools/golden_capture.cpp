@@ -1,240 +1,115 @@
-// One-shot capture of pre-optimization engine outputs. Compiled ad hoc
-// against the current build to produce the reference constants baked into
-// tests/test_engine_perf_invariants.cpp. Not part of the build.
+// Prints the engine's golden constants: every scenario in
+// tests/golden_scenarios.hpp, run against the tree this binary was built
+// from. tests/test_engine_perf_invariants.cpp pins these values (and
+// tests/test_topology.cpp repeats the fifo cluster line). Flow and cluster
+// scenarios print once per rebalance mode; the tests pin both modes to the
+// same constants, so two lines that differ name the diverging engine.
+//
+// Usage: ./build/tools/golden_capture
 #include <cstdint>
 #include <cstdio>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "core/block_planner.hpp"
-#include "core/local_search.hpp"
-#include "core/perf_model.hpp"
-#include "dnn/iteration_model.hpp"
-#include "dnn/model_zoo.hpp"
-#include "dnn/stepwise.hpp"
-#include "net/flow_network.hpp"
-#include "ps/cluster.hpp"
-#include "sim/simulator.hpp"
+#include "golden_scenarios.hpp"
 
-namespace prophet {
+namespace prophet::golden {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t hash_schedule(const core::Schedule& s) {
-  std::uint64_t h = kFnvSeed;
-  for (const auto& t : s.tasks) {
-    h = fnv1a(h, static_cast<std::uint64_t>(t.start.count_nanos()));
-    h = fnv1a(h, t.grads.size());
-    for (std::size_t g : t.grads) h = fnv1a(h, g);
-  }
-  return h;
-}
-
-std::uint64_t hash_breakdown(const core::WaitTimeBreakdown& b) {
-  std::uint64_t h = kFnvSeed;
-  h = fnv1a(h, static_cast<std::uint64_t>(b.t_wait.count_nanos()));
-  h = fnv1a(h, static_cast<std::uint64_t>(b.span.count_nanos()));
-  for (auto d : b.update_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
-  for (auto d : b.forward_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
-  return h;
-}
-
-core::GradientProfile model_profile(const dnn::ModelSpec& model) {
-  const dnn::IterationModel iteration{model, dnn::tesla_m60_pair(), 64};
-  const auto timing = iteration.nominal();
-  core::GradientProfile profile;
-  profile.ready = timing.ready_offset;
-  for (const auto& tensor : iteration.model().tensors()) {
-    profile.sizes.push_back(tensor.bytes);
-  }
-  profile.intervals = dnn::transfer_intervals(profile.ready);
-  profile.iterations_profiled = 1;
-  return profile;
+const char* mode_name(net::RebalanceMode mode) {
+  return mode == net::RebalanceMode::kFull ? "full" : "incremental";
 }
 
 void capture_planner(const char* name, const dnn::ModelSpec& model) {
-  const auto profile = model_profile(model);
-  const dnn::IterationModel iteration{model, dnn::tesla_m60_pair(), 64};
-  const auto timing = iteration.nominal();
-  const core::PerfModel pm{profile, timing.fwd, Bandwidth::gbps(3), net::TcpCostModel{}};
-  const auto greedy = core::BlockPlanner{net::TcpCostModel{}}.plan(profile, Bandwidth::gbps(3));
-  std::printf("%s plan_tasks=%zu plan_hash=%lluull\n", name, greedy.tasks.size(),
-              (unsigned long long)hash_schedule(greedy));
+  const auto pm = model_perf(model);
+  const auto greedy = core::BlockPlanner{net::TcpCostModel{}}.plan(model_profile(model),
+                                                                   Bandwidth::gbps(3));
+  std::printf("planner %s plan_tasks=%zu plan_hash=%lluull\n", name, greedy.tasks.size(),
+              static_cast<unsigned long long>(hash_schedule(greedy)));
   const auto eval = pm.evaluate(core::LocalSearchPlanner::retime(greedy, pm));
-  std::printf("%s greedy_twait=%lld greedy_span=%lld eval_hash=%lluull\n", name,
-              (long long)eval.t_wait.count_nanos(), (long long)eval.span.count_nanos(),
-              (unsigned long long)hash_breakdown(eval));
-  const core::LocalSearchPlanner planner{8};
-  const auto refined = planner.refine(greedy, pm);
+  std::printf("planner %s greedy_twait=%lld greedy_span=%lld eval_hash=%lluull\n", name,
+              static_cast<long long>(eval.t_wait.count_nanos()),
+              static_cast<long long>(eval.span.count_nanos()),
+              static_cast<unsigned long long>(hash_breakdown(eval)));
+}
+
+void print_refine(const char* label, const core::LocalSearchResult& r) {
   std::printf(
-      "%s refined_twait=%lld refined_span=%lld applied=%zu evaluated=%zu "
+      "refine %s twait=%lld span=%lld applied=%zu evaluated=%zu "
       "sched_hash=%lluull bd_hash=%lluull tasks=%zu\n",
-      name, (long long)refined.breakdown.t_wait.count_nanos(),
-      (long long)refined.breakdown.span.count_nanos(), refined.moves_applied,
-      refined.moves_evaluated, (unsigned long long)hash_schedule(refined.schedule),
-      (unsigned long long)hash_breakdown(refined.breakdown), refined.schedule.tasks.size());
+      label, static_cast<long long>(r.breakdown.t_wait.count_nanos()),
+      static_cast<long long>(r.breakdown.span.count_nanos()), r.moves_applied,
+      r.moves_evaluated, static_cast<unsigned long long>(hash_schedule(r.schedule)),
+      static_cast<unsigned long long>(hash_breakdown(r.breakdown)),
+      r.schedule.tasks.size());
 }
 
-// Refinement from deliberately poor initial schedules, so the accept/commit
-// path of refine() is exercised (BlockPlanner output is already optimal).
-void capture_refine_hard(const char* name, const dnn::ModelSpec& model,
-                         std::size_t chunk) {
-  const auto profile = model_profile(model);
-  const dnn::IterationModel iteration{model, dnn::tesla_m60_pair(), 64};
-  const auto timing = iteration.nominal();
-  const core::PerfModel pm{profile, timing.fwd, Bandwidth::gbps(3), net::TcpCostModel{}};
-  core::Schedule initial;
-  const std::size_t n = profile.gradient_count();
-  for (std::size_t g = 0; g < n; g += chunk) {
-    core::ScheduledTask task;
-    for (std::size_t k = g; k < std::min(n, g + chunk); ++k) task.grads.push_back(k);
-    initial.tasks.push_back(std::move(task));
-  }
-  const core::LocalSearchPlanner planner{16};
-  const auto refined = planner.refine(initial, pm);
-  std::printf(
-      "hard %s chunk=%zu twait=%lld span=%lld applied=%zu evaluated=%zu "
-      "sched_hash=%lluull bd_hash=%lluull tasks=%zu\n",
-      name, chunk, (long long)refined.breakdown.t_wait.count_nanos(),
-      (long long)refined.breakdown.span.count_nanos(), refined.moves_applied,
-      refined.moves_evaluated, (unsigned long long)hash_schedule(refined.schedule),
-      (unsigned long long)hash_breakdown(refined.breakdown), refined.schedule.tasks.size());
+void capture_refine(const char* label, const dnn::ModelSpec& model, std::size_t chunk,
+                    std::size_t steps) {
+  const auto pm = model_perf(model);
+  core::Schedule initial =
+      chunk == 0 ? core::BlockPlanner{net::TcpCostModel{}}.plan(pm.profile(),
+                                                                Bandwidth::gbps(3))
+                 : chunked_schedule(pm.profile().gradient_count(), chunk);
+  print_refine(label, core::LocalSearchPlanner{steps}.refine(initial, pm));
 }
 
-// Random profiles through the same path, so odd ready/size patterns (ties,
-// zero gaps) are pinned too.
-void capture_refine_random(std::uint64_t seed, std::size_t n) {
-  Rng rng{seed};
-  std::vector<Duration> ready(n);
-  std::vector<Bytes> sizes(n);
-  Duration clock{};
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t idx = n - 1 - step;
-    if (step == 0 || rng.bernoulli(0.6)) clock += Duration::millis(rng.uniform_int(2, 25));
-    ready[idx] = clock;
-    sizes[idx] = Bytes::kib(rng.uniform_int(16, 4096));
-  }
-  core::GradientProfile profile;
-  profile.ready = ready;
-  profile.sizes = sizes;
-  profile.intervals = dnn::transfer_intervals(profile.ready);
-  profile.iterations_profiled = 1;
-  std::vector<Duration> fwd(n, Duration::millis(2));
-  const core::PerfModel pm{profile, fwd, Bandwidth::gbps(1), net::TcpCostModel{}};
-  core::Schedule initial;
-  for (std::size_t g = 0; g < n; ++g) {
-    core::ScheduledTask task;
-    task.grads.push_back(g);
-    initial.tasks.push_back(std::move(task));
-  }
-  const core::LocalSearchPlanner planner{32};
-  const auto refined = planner.refine(initial, pm);
-  std::printf(
-      "random seed=%llu n=%zu twait=%lld span=%lld applied=%zu evaluated=%zu "
-      "sched_hash=%lluull bd_hash=%lluull tasks=%zu\n",
-      (unsigned long long)seed, n, (long long)refined.breakdown.t_wait.count_nanos(),
-      (long long)refined.breakdown.span.count_nanos(), refined.moves_applied,
-      refined.moves_evaluated, (unsigned long long)hash_schedule(refined.schedule),
-      (unsigned long long)hash_breakdown(refined.breakdown), refined.schedule.tasks.size());
+void capture_flows(net::RebalanceMode mode) {
+  const FlowOutcome out = run_churn_with_dynamics(mode);
+  std::printf("flows %s done=%d events=%llu end_ns=%lld ps_rx_bytes=%lld busy_ns=%lld "
+              "hash=%lluull\n",
+              mode_name(mode), out.done, static_cast<unsigned long long>(out.events),
+              static_cast<long long>(out.end_ns), static_cast<long long>(out.ps_rx_bytes),
+              static_cast<long long>(out.ps_rx_busy_ns),
+              static_cast<unsigned long long>(out.hash));
 }
 
-void capture_sim() {
-  sim::Simulator sim;
-  Rng rng{12345};
-  std::vector<sim::EventHandle> handles;
-  std::uint64_t work = 0;
-  for (int i = 0; i < 5000; ++i) {
-    auto h = sim.schedule_after(Duration::micros(rng.uniform_int(0, 100000)),
-                                [&work] { ++work; });
-    if (rng.bernoulli(0.25)) handles.push_back(h);
-  }
-  for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
-  sim::EventHandle periodic = sim.schedule_periodic(Duration::micros(700), [&](TimePoint) {
-    ++work;
-    if (work > 5500) periodic.cancel();
-  });
-  sim.schedule_after(Duration::millis(3), [&] {
-    sim.schedule_after(Duration::millis(1), [&work] { work += 10; });
-  });
-  sim.run();
-  std::printf("sim fired=%llu work=%llu now=%lld\n", (unsigned long long)sim.events_fired(),
-              (unsigned long long)work, (long long)sim.now().count_nanos());
+void capture_incast(net::RebalanceMode mode) {
+  const IncastOutcome out = run_grouped_incast(mode);
+  std::printf("incast %s done=%d events=%llu end_ns=%lld completion_hash=%lluull "
+              "link_bytes_hash=%lluull ps_rx_bytes=%lld bins_hash=%lluull "
+              "tracker_sums_match=%d group_forms=%llu\n",
+              mode_name(mode), out.done, static_cast<unsigned long long>(out.events),
+              static_cast<long long>(out.end_ns),
+              static_cast<unsigned long long>(out.completion_hash),
+              static_cast<unsigned long long>(out.link_bytes_hash),
+              static_cast<long long>(out.ps_rx_bytes),
+              static_cast<unsigned long long>(out.bins_hash),
+              out.tracker_sums_match ? 1 : 0,
+              static_cast<unsigned long long>(out.stats.group_forms));
 }
 
-void capture_flows() {
-  sim::Simulator sim;
-  net::FlowNetwork net{sim, net::TcpCostModel{}};
-  const auto ps = net.add_node("ps", Bandwidth::gbps(10), Bandwidth::gbps(10));
-  std::vector<net::NodeId> workers;
-  for (int i = 0; i < 4; ++i)
-    workers.push_back(net.add_node("w", Bandwidth::gbps(5), Bandwidth::gbps(5)));
-  std::uint64_t h = kFnvSeed;
-  int done = 0;
-  for (int round = 0; round < 6; ++round) {
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      net.start_flow(workers[w], ps, Bytes::mib(static_cast<std::int64_t>(1 + w)),
-                     [&](net::FlowId id) {
-                       ++done;
-                       h = fnv1a(h, id);
-                       h = fnv1a(h, static_cast<std::uint64_t>(sim.now().count_nanos()));
-                     });
-      net.start_flow(ps, workers[w], Bytes::kib(512), [&](net::FlowId id) {
-        ++done;
-        h = fnv1a(h, id);
-        h = fnv1a(h, static_cast<std::uint64_t>(sim.now().count_nanos()));
-      });
-    }
-    sim.schedule_after(Duration::millis(1),
-                       [&] { net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(8)); });
-    sim.schedule_after(Duration::millis(2), [&] { net.set_link_up(workers[1], false); });
-    sim.schedule_after(Duration::millis(4), [&] { net.set_link_up(workers[1], true); });
-    sim.run();
-    net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(10));
-  }
-  std::printf("flows done=%d hash=%lluull fired=%llu now=%lld tb=%lld busy=%lld\n", done,
-              (unsigned long long)h, (unsigned long long)sim.events_fired(),
-              (long long)sim.now().count_nanos(),
-              (long long)net.total_bytes(ps, net::Direction::kRx),
-              (long long)net.busy_time(ps, net::Direction::kRx).count_nanos());
-}
-
-void capture_cluster(const char* name, const ps::StrategyConfig& strategy) {
-  ps::ClusterConfig cfg;
-  cfg.model = dnn::resnet50();
-  cfg.num_workers = 3;
-  cfg.batch = 64;
-  cfg.iterations = 10;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
-  cfg.strategy = strategy;
-  cfg.strategy.prophet_config.profile_iterations = 4;
-  const auto result = ps::run_cluster(cfg, 5);
-  std::printf("cluster %s events=%llu sim_ns=%lld rate_centi=%lld\n", name,
-              (unsigned long long)result.events_fired,
-              (long long)result.simulated_time.count_nanos(),
-              (long long)(result.mean_rate() * 100.0));
+void capture_cluster(const char* name, const ps::StrategyConfig& strategy,
+                     net::RebalanceMode mode) {
+  const auto result = ps::run_cluster(golden_cluster_config(strategy, mode), 5);
+  std::printf("cluster %s %s events=%llu sim_ns=%lld rate_centi=%lld\n", name,
+              mode_name(mode), static_cast<unsigned long long>(result.events_fired),
+              static_cast<long long>(result.simulated_time.count_nanos()),
+              static_cast<long long>(result.mean_rate() * 100.0));
 }
 
 }  // namespace
-}  // namespace prophet
+}  // namespace prophet::golden
 
 int main() {
-  prophet::capture_planner("resnet50", prophet::dnn::resnet50());
-  prophet::capture_planner("resnet152", prophet::dnn::resnet152());
-  prophet::capture_refine_hard("resnet50", prophet::dnn::resnet50(), 1);
-  prophet::capture_refine_hard("resnet152", prophet::dnn::resnet152(), 4);
-  prophet::capture_refine_random(7, 48);
-  prophet::capture_refine_random(99, 64);
-  prophet::capture_sim();
-  prophet::capture_flows();
-  prophet::capture_cluster("fifo", prophet::ps::StrategyConfig::fifo());
-  prophet::capture_cluster("prophet", prophet::ps::StrategyConfig::prophet());
+  using namespace prophet;
+  using namespace prophet::golden;
+  capture_planner("resnet50", dnn::resnet50());
+  capture_planner("resnet152", dnn::resnet152());
+  capture_refine("resnet50_from_planner", dnn::resnet50(), 0, 8);
+  capture_refine("resnet152_from_planner", dnn::resnet152(), 0, 8);
+  capture_refine("resnet50_singleton_start", dnn::resnet50(), 1, 16);
+  capture_refine("resnet152_chunked_start", dnn::resnet152(), 4, 16);
+  print_refine("random_seed7", refine_random(7, 48));
+  print_refine("random_seed99", refine_random(99, 64));
+  const SimOutcome sim = run_mixed_cancel_and_periodic();
+  std::printf("sim events=%llu work=%llu end_ns=%lld\n",
+              static_cast<unsigned long long>(sim.events),
+              static_cast<unsigned long long>(sim.work),
+              static_cast<long long>(sim.end_ns));
+  for (const auto mode : {net::RebalanceMode::kIncremental, net::RebalanceMode::kFull}) {
+    capture_flows(mode);
+    capture_incast(mode);
+    capture_cluster("fifo", ps::StrategyConfig::fifo(), mode);
+    capture_cluster("prophet", ps::StrategyConfig::prophet(), mode);
+  }
   return 0;
 }

@@ -245,7 +245,10 @@ void collect_functions(const std::string& path, const TokenizedFile& tf,
 
 std::string unit_of(const std::string& ident) {
   // Use only the last member-path component ("foo.deadline_ms" -> "deadline_ms").
+  // `_qb` / `_qbpns`: net::FlowNetwork's fixed-point byte quanta and quanta
+  // per nanosecond.
   static const std::vector<std::pair<std::string, std::string>> kSuffixes = {
+      {"_qbpns", "qb/ns"}, {"_qb", "qb"},
       {"_seconds", "s"}, {"_nanos", "ns"}, {"_micros", "us"}, {"_millis", "ms"},
       {"_bytes", "bytes"}, {"_secs", "s"}, {"_gbps", "gbps"}, {"_mbps", "mbps"},
       {"_kbps", "kbps"}, {"_sec", "s"},   {"_bps", "bps"},   {"_ns", "ns"},
