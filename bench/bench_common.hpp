@@ -12,10 +12,10 @@
 
 namespace prophet::bench {
 
-// Machine-tracked perf ledger shared by perf_engine and micro_benchmarks:
-// a two-level {section -> {metric -> value}} JSON document. Writers update
-// their own sections and preserve everyone else's, so BENCH_engine.json
-// accumulates the full perf picture of the engine across tools.
+// Machine-tracked perf ledger: a two-level {section -> {metric -> value}}
+// JSON document. Benches (micro_benchmarks -> BENCH_engine.json, scale,
+// fault_recovery, multijob) update their own sections and preserve everyone
+// else's; the scale and fault ratchets read committed baselines back.
 class BenchJson {
  public:
   // Loads `path` if it exists (tolerant of missing/empty files).

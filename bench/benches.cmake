@@ -36,7 +36,6 @@ prophet_bench(table3_batchsize)
 prophet_bench(hetero_cluster)
 prophet_bench(dynamics_sensitivity)
 prophet_bench(ablation)
-prophet_bench(perf_engine)
 prophet_bench(extended_comparison)
 prophet_bench(allreduce_comparison)
 prophet_bench(fault_recovery)
@@ -54,19 +53,12 @@ target_link_libraries(micro_benchmarks PRIVATE
 set_target_properties(micro_benchmarks PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-# Quick engine perf smoke: shrunk workloads, writes BENCH_engine_smoke.json
-# into the build tree (the tracked bench_results/BENCH_engine.json is only
-# rewritten by a full `perf_engine` run). Keeps the perf harness itself under
-# test without letting CI timing noise churn the committed artifact.
-add_test(NAME bench_perf_engine_smoke
-         COMMAND perf_engine --smoke --out ${CMAKE_BINARY_DIR}/BENCH_engine_smoke.json)
-
 # Engine-scaling smoke: shrunk cells, verifies both rebalance modes finish,
 # that the star cell's incremental arm replays the kFull simulation
 # byte-identically (same final nanosecond + event count), and that the sweep
-# executor's merged output is thread-count-independent. Same artifact policy
-# as above: the tracked BENCH_scale.json is only rewritten by a full `scale`
-# run.
+# executor's merged output is thread-count-independent. Writes
+# BENCH_scale_smoke.json into the build tree; the tracked BENCH_scale.json is
+# only rewritten by a full `scale` run.
 add_test(NAME bench_scale_smoke
          COMMAND scale --smoke --out ${CMAKE_BINARY_DIR}/BENCH_scale_smoke.json)
 # RUN_SERIAL: the ratchet consumes this test's wall-clock ratios, so it must

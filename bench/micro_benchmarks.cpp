@@ -4,9 +4,9 @@
 // hundreds of milliseconds.
 //
 // A custom main (instead of benchmark_main) additionally records every
-// benchmark's real_time/items-per-second into the shared BENCH_engine.json
-// artifact, so microbenchmark history rides the same file the perf_engine
-// harness maintains. Pass --out <path> to redirect (e.g. in CI smoke runs).
+// benchmark's real_time/items-per-second into the `micro_benchmarks` section
+// of bench_results/BENCH_engine.json. Pass --out <path> to redirect (e.g. in
+// CI smoke runs).
 #include <benchmark/benchmark.h>
 
 #include <cstring>

@@ -199,8 +199,9 @@ int main(int argc, char** argv) {
   if (arch == "allreduce") {
     if (!cfg.dynamics.empty()) {
       std::fprintf(stderr,
-                   "warning: dynamics/fault flags only apply to --arch ps; "
-                   "the allreduce ring ignores them\n");
+                   "dynamics/fault flags only apply to --arch ps; the "
+                   "allreduce ring cannot run them\n");
+      return 1;
     }
     const auto result = ar::run_allreduce(cfg);
     std::printf("[%s/ring] rate %.2f samples/s/worker, GPU utilization %.1f%%\n",

@@ -8,37 +8,30 @@
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
+#include "net/topology.hpp"
 #include "ps/strategy.hpp"
 #include "sim/simulator.hpp"
 
 namespace prophet::ar {
 
-double AllReduceResult::mean_rate() const {
-  PROPHET_CHECK(!workers.empty());
-  double total = 0.0;
-  for (const auto& w : workers) total += w.rate_samples_per_sec;
-  return total / static_cast<double>(workers.size());
-}
-
-double AllReduceResult::mean_utilization() const {
-  PROPHET_CHECK(!workers.empty());
-  double total = 0.0;
-  for (const auto& w : workers) total += w.gpu_utilization;
-  return total / static_cast<double>(workers.size());
-}
-
 AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
                               std::optional<std::size_t> measure_first) {
-  PROPHET_CHECK(cfg.num_workers >= 2);
+  cfg.validate();
+  PROPHET_CHECK_MSG(cfg.num_workers >= 2,
+                    "run_allreduce: a ring needs at least 2 workers");
+  PROPHET_CHECK_MSG(cfg.dynamics.empty(),
+                    "run_allreduce: the ring does not apply dynamics or fault "
+                    "plans; run them on the PS architecture");
   sim::Simulator sim;
   const net::TcpCostModel cost{cfg.tcp};
   net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
   network.set_verify_rates(cfg.verify_rates);
+  net::BuiltTopology topology{network, cfg.resolved_topology()};
 
   std::vector<net::NodeId> nodes;
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    const Bandwidth bw = cfg.bandwidth_of_worker(w);
-    nodes.push_back(network.add_node("worker" + std::to_string(w), bw, bw));
+    nodes.push_back(
+        topology.add_host("worker" + std::to_string(w), cfg.bandwidth_of_worker(w)));
   }
 
   const dnn::IterationModel iteration_model{cfg.model, cfg.gpu, cfg.batch,
@@ -84,28 +77,22 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   monitor.stop();
   sim.run_until(horizon);
 
-  std::size_t first = measure_first.value_or(0);
-  if (!measure_first.has_value()) {
-    std::size_t warmup = 3;
-    if (cfg.strategy.kind == ps::StrategyConfig::Kind::kProphet) {
-      warmup = cfg.strategy.prophet_config.profile_iterations + 3;
-    }
-    PROPHET_CHECK(warmup + 1 < cfg.iterations);
-    first = warmup;
-  }
-
+  const std::size_t first =
+      measure_first.has_value() ? *measure_first : ps::default_measure_first(cfg);
+  // No NIC trackers, which keeps tracker updates off the ring's per-flow
+  // settlement path; its throughput series stay zero.
+  const BinnedSeries untracked{cfg.metrics_bin, cfg.metrics_horizon};
   AllReduceResult result;
   result.measure_first = first;
   result.measure_last = cfg.iterations;
   result.simulated_time = span;
-  for (const auto& worker : workers) {
-    const auto& tm = worker->training_metrics();
-    AllReduceResult::WorkerStats stats;
-    stats.iterations_completed = worker->current_iteration();
-    stats.rate_samples_per_sec = tm.rate_samples_per_sec(first, cfg.iterations);
-    stats.gpu_utilization = worker->gpu().utilization(
-        tm.iteration_start(first), tm.iteration_start(cfg.iterations));
-    result.workers.push_back(stats);
+  result.events_fired = sim.events_fired();
+  result.rebalance = network.rebalance_stats();
+  for (std::size_t w = 0; w < cfg.num_workers; ++w) {
+    const Worker& worker = *workers[w];
+    result.workers.push_back(ps::WorkerResult::measure(
+        w, first, cfg.iterations, worker.current_iteration(),
+        worker.training_metrics(), worker.gpu(), untracked, untracked));
   }
   return result;
 }

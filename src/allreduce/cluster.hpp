@@ -1,36 +1,27 @@
 // Driver for all-reduce training runs: W workers in a ring, a collective
 // Coordinator running one of the communication strategies, and the same
-// metrics the PS engine reports — so the two dominant DDNN architectures
-// can be compared under identical workloads.
+// result type the PS drivers return — so the two dominant DDNN
+// architectures can be compared under identical workloads.
 #pragma once
 
 #include <optional>
-#include <vector>
 
-#include "dnn/model_zoo.hpp"
-#include "metrics/training_metrics.hpp"
+#include "ps/cluster.hpp"
 #include "ps/config.hpp"
 
 namespace prophet::ar {
 
-// Reuses the PS ClusterConfig (model / batch / bandwidths / strategy /
-// iterations); PS-specific fields (ps_bandwidth, update costs, sync mode)
-// are ignored.
-struct AllReduceResult {
-  struct WorkerStats {
-    double rate_samples_per_sec = 0.0;
-    double gpu_utilization = 0.0;
-    std::size_t iterations_completed = 0;
-  };
-  std::vector<WorkerStats> workers;
-  Duration simulated_time{};
-  std::size_t measure_first = 0;
-  std::size_t measure_last = 0;
+// The ring reports through the PS result type: per-worker rate, GPU
+// utilization, iteration count and compute series over the same default
+// window. Transfer logs, Prophet counters and audit checks stay empty and
+// the NIC throughput series stay zero.
+using AllReduceResult = ps::ClusterResult;
 
-  [[nodiscard]] double mean_rate() const;
-  [[nodiscard]] double mean_utilization() const;
-};
-
+// Reuses the PS ClusterConfig (model / batch / topology / strategy /
+// iterations); the ring members are placed on cfg.resolved_topology() like
+// PS workers. PS-specific fields (ps_bandwidth, ps_shards, update costs,
+// sync mode) are ignored. Aborts on an invalid config, on fewer than two
+// workers and on a non-empty dynamics plan, which the ring cannot apply.
 AllReduceResult run_allreduce(const ps::ClusterConfig& config,
                               std::optional<std::size_t> measure_first = {});
 

@@ -25,6 +25,10 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
   network.set_verify_rates(config.verify_rates);
   net::BuiltTopology topology{network, config.topology};
 
+  auto job_name = [&](std::size_t j) {
+    return config.jobs[j].name.empty() ? "job" + std::to_string(j)
+                                       : config.jobs[j].name;
+  };
   std::vector<std::unique_ptr<ps::JobRuntime>> jobs;
   for (std::size_t j = 0; j < config.jobs.size(); ++j) {
     ps::ClusterConfig cfg = config.jobs[j].config;
@@ -34,10 +38,7 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
     cfg.worker_bandwidth_override.clear();
     cfg.validate();
     ps::JobOptions opts;
-    opts.name_prefix = (config.jobs[j].name.empty()
-                            ? "job" + std::to_string(j)
-                            : config.jobs[j].name) +
-                       ".";
+    opts.name_prefix = job_name(j) + ".";
     opts.start_offset = offsets[j];
     opts.ps_rack = placements[j].ps_rack;
     opts.worker_racks = placements[j].worker_racks;
@@ -45,37 +46,10 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
                                                     std::move(cfg),
                                                     std::move(opts)));
   }
-  for (auto& job : jobs) job->start();
-
-  // One event loop for everyone. A job that crosses its final iteration is
-  // finalized on the spot (span recorded, metrics closed, late fault events
-  // disarmed) while its residual flows drain alongside the still-running
-  // jobs.
-  const TimePoint horizon = TimePoint::origin() + config.horizon;
-  std::vector<bool> finished(jobs.size(), false);
-  std::vector<Duration> finish_at(jobs.size(), Duration::zero());
-  std::size_t remaining = jobs.size();
-  auto sweep_finished = [&] {
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (finished[j] || !jobs[j]->done()) continue;
-      jobs[j]->recover_crashed();
-      jobs[j]->disarm_faults();
-      jobs[j]->finish_training(sim.now());
-      finished[j] = true;
-      finish_at[j] = sim.now() - TimePoint::origin();
-      --remaining;
-    }
-  };
-  sweep_finished();
-  while (remaining > 0 && sim.now() < horizon) {
-    if (!sim.step()) break;
-    sweep_finished();
-  }
-  PROPHET_CHECK_MSG(remaining == 0,
-                    "run_multi_job: a job did not finish within the horizon");
-  // Drain residual traffic (all monitors are stopped, so this converges).
-  sim.run_until(horizon);
-  for (auto& job : jobs) job->finish_audit();
+  // One event loop for everyone: a job that crosses its final iteration is
+  // finalized on the spot while its residual flows drain alongside the
+  // still-running jobs.
+  ps::run_jobs(sim, jobs, TimePoint::origin() + config.horizon);
 
   MultiJobResult result;
   result.events_fired = sim.events_fired();
@@ -83,12 +57,11 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
   result.rebalance = network.rebalance_stats();
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobOutcome out;
-    out.name = config.jobs[j].name.empty() ? "job" + std::to_string(j)
-                                           : config.jobs[j].name;
+    out.name = job_name(j);
     out.result = jobs[j]->collect({}, sim.events_fired());
     out.placement = placements[j];
     out.start_offset = offsets[j];
-    out.finish_time = finish_at[j];
+    out.finish_time = jobs[j]->finish_time();
     if (out.finish_time > result.makespan) result.makespan = out.finish_time;
     result.jobs.push_back(std::move(out));
   }

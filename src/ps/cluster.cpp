@@ -1,6 +1,6 @@
 #include "ps/cluster.hpp"
 
-#include <utility>
+#include <memory>
 
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
@@ -9,6 +9,26 @@
 #include "sim/simulator.hpp"
 
 namespace prophet::ps {
+
+WorkerResult WorkerResult::measure(std::size_t id, std::size_t first, std::size_t last,
+                                   std::size_t iterations_completed,
+                                   const metrics::TrainingMetrics& training,
+                                   const metrics::GpuTracker& gpu, const BinnedSeries& tx,
+                                   const BinnedSeries& rx) {
+  return {.id = id,
+          .rate_samples_per_sec = training.rate_samples_per_sec(first, last),
+          .gpu_utilization = gpu.utilization(training.iteration_start(first),
+                                             training.iteration_start(last)),
+          .iterations_completed = iterations_completed,
+          .prophet_activated_at = {},
+          .prophet_replans = 0,
+          .training = training,
+          .transfers = {},
+          .gpu_series = gpu.series(),
+          .gpu_intervals = gpu.intervals(),
+          .tx_series = tx,
+          .rx_series = rx};
+}
 
 double ClusterResult::mean_rate() const {
   PROPHET_CHECK(!workers.empty());
@@ -24,46 +44,33 @@ double ClusterResult::mean_utilization() const {
   return total / static_cast<double>(workers.size());
 }
 
-Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
-  config_.validate();
-}
-
-ClusterResult Cluster::run(std::optional<std::size_t> measure_first) {
-  const ClusterConfig& cfg = config_;
-  sim::Simulator sim;
-  const net::TcpCostModel cost{cfg.tcp};
-  net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
-  network.set_verify_rates(cfg.verify_rates);
-  net::BuiltTopology topology{network, cfg.resolved_topology()};
-
-  JobRuntime job{sim, network, topology, cfg};
-  job.start();
-
-  // Run until every worker crossed its final iteration boundary (residual
-  // pulls may still be in flight), bounded by the metrics horizon.
-  const TimePoint horizon = TimePoint::origin() + cfg.metrics_horizon;
-  while (!job.done() && sim.now() < horizon) {
-    if (!sim.step()) break;
+std::size_t default_measure_first(const ClusterConfig& config) {
+  std::size_t warmup = 3;
+  if (config.strategy.kind == StrategyConfig::Kind::kProphet) {
+    warmup = config.strategy.prophet_config.profile_iterations + 3;
   }
-  PROPHET_CHECK_MSG(job.done(), "training did not finish within the metrics horizon");
-  job.recover_crashed();
-  job.disarm_faults();
-  job.finish_training(sim.now());
-  // Drain residual network traffic (monitors are stopped, so this converges).
-  sim.run_until(horizon);
-  job.finish_audit();
-
-  ClusterResult result = job.collect(measure_first, sim.events_fired());
-  for (net::LinkId l = 0; l < network.link_count(); ++l) {
-    result.link_bytes.push_back(network.link_total_bytes(l));
-  }
-  return result;
+  PROPHET_CHECK_MSG(warmup + 1 < config.iterations,
+                    "not enough iterations to measure past warmup");
+  return warmup;
 }
 
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first) {
-  Cluster cluster{config};
-  return cluster.run(measure_first);
+  config.validate();
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{config.tcp}, config.rate_rebalance};
+  network.set_verify_rates(config.verify_rates);
+  net::BuiltTopology topology{network, config.resolved_topology()};
+
+  std::vector<std::unique_ptr<JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, config));
+  run_jobs(sim, jobs, TimePoint::origin() + config.metrics_horizon);
+
+  ClusterResult result = jobs.front()->collect(measure_first, sim.events_fired());
+  for (net::LinkId l = 0; l < network.link_count(); ++l) {
+    result.link_bytes.push_back(network.link_total_bytes(l));
+  }
+  return result;
 }
 
 }  // namespace prophet::ps

@@ -1,6 +1,7 @@
-// Cluster driver: wires N workers, one PS, the flow network and the chosen
-// communication strategy into a Simulator, runs the training job, and
-// collects every measurement the paper's evaluation reports.
+// Single-job driver and the result type every training driver returns: the
+// PS cluster (run_cluster), the multi-job fabric (cluster::run_multi_job,
+// one per job) and the ring all-reduce (ar::run_allreduce) all report a
+// ClusterResult measured over the same default window.
 #pragma once
 
 #include <optional>
@@ -34,6 +35,14 @@ struct WorkerResult {
   std::vector<std::pair<TimePoint, TimePoint>> gpu_intervals;
   BinnedSeries tx_series;
   BinnedSeries rx_series;
+
+  // A worker's series, with its headline numbers taken over the window
+  // [first, last); the PS driver adds its Prophet and transfer-log fields.
+  static WorkerResult measure(std::size_t id, std::size_t first, std::size_t last,
+                              std::size_t iterations_completed,
+                              const metrics::TrainingMetrics& training,
+                              const metrics::GpuTracker& gpu, const BinnedSeries& tx,
+                              const BinnedSeries& rx);
 };
 
 struct ClusterResult {
@@ -43,7 +52,8 @@ struct ClusterResult {
   std::size_t measure_last = 0;
   Duration simulated_time{};
   std::uint64_t events_fired = 0;
-  // BSP invariant checks evaluated by the auditor (0 under ASP).
+  // BSP invariant checks evaluated by the auditor (0 under ASP and on the
+  // ring, which has no auditor).
   std::size_t audit_checks = 0;
   // Rebalance-engine counters (settlements, component walks, rate-group
   // lifecycle, verify checks) for the network this job ran on. Under
@@ -51,7 +61,7 @@ struct ClusterResult {
   // shared snapshot.
   net::RebalanceStats rebalance;
   // Whole bytes each fabric link carried over the run, indexed by LinkId
-  // (single-job driver only).
+  // (run_cluster only).
   std::vector<std::int64_t> link_bytes;
 
   // Mean per-worker training rate (samples/s) over the window.
@@ -59,23 +69,15 @@ struct ClusterResult {
   [[nodiscard]] double mean_utilization() const;
 };
 
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config);
+// First iteration of the default measurement window: past Prophet's
+// profiling phase (plus slack), so every strategy and architecture is
+// compared at steady state under one rule. Aborts when `config` runs too
+// few iterations to measure past it.
+[[nodiscard]] std::size_t default_measure_first(const ClusterConfig& config);
 
-  // Runs the configured number of iterations and gathers results. The rate
-  // window defaults to [warmup, iterations), where warmup skips Prophet's
-  // profiling phase (plus slack) so strategies are compared at steady state;
-  // pass `measure_first` to override.
-  [[nodiscard]] ClusterResult run(std::optional<std::size_t> measure_first = {});
-
-  [[nodiscard]] const ClusterConfig& config() const { return config_; }
-
- private:
-  ClusterConfig config_;
-};
-
-// One-call convenience used by benches and tests.
+// Runs one job on the config's own fabric (hosts named "ps", "worker0", ...)
+// and gathers its results over [measure_first, iterations), the window
+// defaulting to default_measure_first(config).
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first = {});
 

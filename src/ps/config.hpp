@@ -69,7 +69,7 @@ struct ClusterConfig {
   // bandwidth fields below are folded into a TopologySpec::star — today's
   // semantics, bit for bit. Set it explicitly for leaf-spine fabrics (and
   // for new star configs: the flat fields are the deprecated spelling, kept
-  // as shims the same way StrategyConfig keeps its make_* factories).
+  // as shims until their callers move).
   std::optional<net::TopologySpec> topology;
 
   // DEPRECATED: use `topology` (TopologySpec::star(...)). Consulted only
@@ -120,7 +120,7 @@ struct ClusterConfig {
     return t.worker_bandwidth;
   }
 
-  // Single validation entry point, called by Cluster's constructor: aborts
+  // Single validation entry point, called by every driver: aborts
   // with a clear message on a misconfiguration (zero workers, too few
   // iterations, non-positive bandwidths or update rate, an override vector
   // longer than the cluster, a malformed dynamics plan, ...) instead of

@@ -280,18 +280,10 @@ void JobRuntime::finish_audit() {
 ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
                                   std::uint64_t events_fired) const {
   const ClusterConfig& cfg = config_;
-  // Default window: past Prophet's profiling phase so strategies compare at
-  // steady state; the same window is applied to every strategy.
-  std::size_t first = measure_first.value_or(0);
-  if (!measure_first.has_value()) {
-    std::size_t warmup = 3;
-    if (cfg.strategy.kind == StrategyConfig::Kind::kProphet) {
-      warmup = cfg.strategy.prophet_config.profile_iterations + 3;
-    }
-    PROPHET_CHECK_MSG(warmup + 1 < cfg.iterations,
-                      "not enough iterations to measure past warmup");
-    first = warmup;
-  }
+  // Evaluated only without an explicit window: short runs measuring a
+  // window of their own need not clear the warmup.
+  const std::size_t first =
+      measure_first.has_value() ? *measure_first : default_measure_first(cfg);
   const std::size_t last = cfg.iterations;
 
   ClusterResult result;
@@ -303,25 +295,42 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
   result.rebalance = network_.rebalance_stats();
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
     const Worker& worker = *workers_[w];
-    WorkerResult wr{.id = w,
-                    .rate_samples_per_sec = 0.0,
-                    .gpu_utilization = 0.0,
-                    .iterations_completed = worker.current_iteration(),
-                    .prophet_activated_at = worker.prophet_activated_at(),
-                    .prophet_replans = worker.prophet_replans(),
-                    .training = worker.training_metrics(),
-                    .transfers = worker.transfers(),
-                    .gpu_series = worker.gpu().series(),
-                    .gpu_intervals = worker.gpu().intervals(),
-                    .tx_series = tx_series_[w],
-                    .rx_series = rx_series_[w]};
-    const auto& tm = worker.training_metrics();
-    wr.rate_samples_per_sec = tm.rate_samples_per_sec(first, last);
-    wr.gpu_utilization =
-        worker.gpu().utilization(tm.iteration_start(first), tm.iteration_start(last));
+    WorkerResult wr = WorkerResult::measure(
+        w, first, last, worker.current_iteration(), worker.training_metrics(),
+        worker.gpu(), tx_series_[w], rx_series_[w]);
+    wr.prophet_activated_at = worker.prophet_activated_at();
+    wr.prophet_replans = worker.prophet_replans();
+    wr.transfers = worker.transfers();
     result.workers.push_back(std::move(wr));
   }
   return result;
+}
+
+void run_jobs(sim::Simulator& sim,
+              const std::vector<std::unique_ptr<JobRuntime>>& jobs,
+              TimePoint horizon) {
+  for (const auto& job : jobs) job->start();
+  std::vector<bool> finished(jobs.size(), false);
+  std::size_t remaining = jobs.size();
+  auto finalize_done = [&] {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (finished[j] || !jobs[j]->done()) continue;
+      jobs[j]->recover_crashed();
+      jobs[j]->disarm_faults();
+      jobs[j]->finish_training(sim.now());
+      finished[j] = true;
+      --remaining;
+    }
+  };
+  finalize_done();
+  while (remaining > 0 && sim.now() < horizon) {
+    if (!sim.step()) break;
+    finalize_done();
+  }
+  PROPHET_CHECK_MSG(remaining == 0,
+                    "run_jobs: a job did not finish training within the horizon");
+  sim.run_until(horizon);
+  for (const auto& job : jobs) job->finish_audit();
 }
 
 }  // namespace prophet::ps

@@ -1,20 +1,20 @@
 // One training job wired into a (possibly shared) simulator and network:
-// the PS, its workers, the BSP auditor and the armed dynamics plan — i.e.
-// everything Cluster::run used to build inline, extracted so several jobs
-// can coexist in one event loop on one fabric.
+// the PS, its workers, the BSP auditor and the armed dynamics plan, so
+// several jobs can coexist in one event loop on one fabric.
 //
-// Lifecycle (the cluster driver owns the event loop):
+// Lifecycle:
 //   construct      — places hosts on the topology, builds server/workers;
-//   start()        — kicks off iteration 0 (immediately, or at the
-//                    scheduler-chosen start offset) and arms dynamics;
-//   ... sim steps ...
-//   when done(): recover_crashed(); disarm_faults(); finish_training(now);
-//   ... drain ...  finish_audit(); collect(...).
+//   run_jobs(...)  — the one training loop every PS driver calls: start()
+//                    each job, step the shared simulator, finalize each job
+//                    the instant done() turns true (recover_crashed,
+//                    disarm_faults, finish_training), drain, finish_audit;
+//   collect(...)   — per-worker results over the measurement window.
 //
-// A single job with default JobOptions on a star topology reproduces the
-// original Cluster::run event sequence bit for bit: zero-offset start() calls
-// Worker::start directly (no extra scheduled event) and dynamics arming
-// happens in the same order at the same instants.
+// ps::run_cluster is one job with default JobOptions on the config's own
+// fabric; cluster::run_multi_job is placement plus interleave plus the same
+// call. A zero-offset start() calls Worker::start directly (no extra
+// scheduled event), so a one-job multi-job run on a star replays the
+// single-job run's event sequence exactly.
 #pragma once
 
 #include <map>
@@ -83,7 +83,10 @@ class JobRuntime {
   [[nodiscard]] TimePoint start_time() const {
     return TimePoint::origin() + options_.start_offset;
   }
-  [[nodiscard]] Duration training_span() const { return training_span_; }
+  // Time from the shared origin until the job crossed its final iteration.
+  [[nodiscard]] Duration finish_time() const {
+    return options_.start_offset + training_span_;
+  }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   // First PS host (the whole tier when ps_shards == 1).
   [[nodiscard]] net::NodeId ps_node() const { return ps_nodes_.front(); }
@@ -95,8 +98,8 @@ class JobRuntime {
     return worker_nodes_;
   }
 
-  // Gathers per-worker results over [measure_first, iterations) — the same
-  // warmup default Cluster::run always used. `events_fired` is the
+  // Gathers per-worker results over [measure_first, iterations), defaulting
+  // to default_measure_first(config()). `events_fired` is the
   // simulator-wide count (jobs sharing a loop share it).
   [[nodiscard]] ClusterResult collect(std::optional<std::size_t> measure_first,
                                       std::uint64_t events_fired) const;
@@ -124,5 +127,14 @@ class JobRuntime {
   bool faults_live_ = true;
   Duration training_span_{};
 };
+
+// Runs every job to completion in one event loop: starts each, steps `sim`
+// and finalizes each job the instant it crosses its final iteration while
+// the rest run on, aborts if any job misses `horizon`, drains residual
+// traffic up to `horizon` (monitors are stopped, so this converges) and runs
+// each job's final audit.
+void run_jobs(sim::Simulator& sim,
+              const std::vector<std::unique_ptr<JobRuntime>>& jobs,
+              TimePoint horizon);
 
 }  // namespace prophet::ps

@@ -183,5 +183,44 @@ TEST(AllReduceCluster, BspLockstepAcrossWorkers) {
   }
 }
 
+TEST(AllReduceCluster, ReportsTheSharedResultType) {
+  // The ring fills the PS result type: ids, compute series and the default
+  // window (past Prophet's profiling phase), with no BSP audit.
+  const ps::ClusterResult result =
+      run_allreduce(ar_config(ps::StrategyConfig::prophet()));
+  EXPECT_EQ(result.measure_first, ps::default_measure_first(
+                                      ar_config(ps::StrategyConfig::prophet())));
+  EXPECT_EQ(result.measure_last, 14u);
+  EXPECT_GT(result.events_fired, 0u);
+  EXPECT_EQ(result.audit_checks, 0u);
+  ASSERT_EQ(result.workers.size(), 3u);
+  for (std::size_t w = 0; w < result.workers.size(); ++w) {
+    EXPECT_EQ(result.workers[w].id, w);
+    EXPECT_EQ(result.workers[w].iterations_completed, 14u);
+    EXPECT_GE(result.workers[w].training.iterations_started(), 14u);
+    EXPECT_FALSE(result.workers[w].gpu_intervals.empty());
+  }
+}
+
+TEST(AllReduceClusterDeathTest, RejectsConfigsTheRingCannotRun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.batch = 0;
+    EXPECT_DEATH(run_allreduce(cfg), "batch must be > 0");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.num_workers = 1;
+    EXPECT_DEATH(run_allreduce(cfg), "at least 2 workers");
+  }
+  {
+    // A plan the ring would silently ignore is refused instead.
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.straggler(Duration::millis(100), 0, 2.0);
+    EXPECT_DEATH(run_allreduce(cfg), "dynamics");
+  }
+}
+
 }  // namespace
 }  // namespace prophet::ar

@@ -164,28 +164,28 @@ TEST(CrashRecoveryDeathTest, ConfigRejectsIllFormedFaultPlans) {
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.reliability.loss_rate = 0.1;
     cfg.reliability.retry_budget = 0;
-    EXPECT_DEATH(ps::Cluster{cfg}, "retry");
+    EXPECT_DEATH(cfg.validate(), "retry");
   }
   {
     // Same rejection when the loss arrives via the dynamics plan.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.reliability.retry_budget = 0;
     cfg.dynamics.loss_rate(1_s, 0.1);
-    EXPECT_DEATH(ps::Cluster{cfg}, "retry");
+    EXPECT_DEATH(cfg.validate(), "retry");
   }
   {
     // Crash faults need a BSP round to roll back to.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.sync = ps::SyncMode::kAsp;
     cfg.dynamics.worker_crash(1_s, 100_ms, 0);
-    EXPECT_DEATH(ps::Cluster{cfg}, "BSP");
+    EXPECT_DEATH(cfg.validate(), "BSP");
   }
   {
     // PS failover needs a checkpoint to restore.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.checkpoint_period = Duration::zero();
     cfg.dynamics.ps_crash(1_s, 100_ms);
-    EXPECT_DEATH(ps::Cluster{cfg}, "checkpoint_period");
+    EXPECT_DEATH(cfg.validate(), "checkpoint_period");
   }
 }
 

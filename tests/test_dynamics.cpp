@@ -291,17 +291,17 @@ TEST(ClusterConfigDeathTest, ValidateRejectsBadConfigs) {
   {
     ps::ClusterConfig cfg;
     cfg.num_workers = 0;
-    EXPECT_DEATH(ps::Cluster{cfg}, "num_workers");
+    EXPECT_DEATH(cfg.validate(), "num_workers");
   }
   {
     ps::ClusterConfig cfg;
     cfg.worker_bandwidth = Bandwidth::zero();
-    EXPECT_DEATH(ps::Cluster{cfg}, "worker_bandwidth");
+    EXPECT_DEATH(cfg.validate(), "worker_bandwidth");
   }
   {
     ps::ClusterConfig cfg;
     cfg.worker_bandwidth_override.assign(cfg.num_workers + 1, Bandwidth::gbps(1));
-    EXPECT_DEATH(ps::Cluster{cfg}, "override");
+    EXPECT_DEATH(cfg.validate(), "override");
   }
 }
 

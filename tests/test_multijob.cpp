@@ -10,6 +10,7 @@
 #include "cluster/scheduler.hpp"
 #include "dnn/model_zoo.hpp"
 #include "net/topology.hpp"
+#include "ps/cluster.hpp"
 #include "ps/config.hpp"
 
 namespace prophet::cluster {
@@ -153,6 +154,50 @@ TEST(MultiJob, OutcomesCarryPlacementAndOffsets) {
     EXPECT_GE(job.finish_time.count_nanos(), job.start_offset.count_nanos());
     EXPECT_GT(job.result.events_fired, 0u);
   }
+}
+
+TEST(MultiJob, OneJobOnStarMatchesRunCluster) {
+  // The single-job driver is a one-job run of the same lifecycle: on the
+  // config's own star fabric, run_multi_job replays run_cluster exactly,
+  // transport loss and PS shards included.
+  for (const ps::StrategyConfig& strategy :
+       {ps::StrategyConfig::fifo(), ps::StrategyConfig::bytescheduler(),
+        ps::StrategyConfig::prophet()}) {
+    ps::ClusterConfig cfg = small_job(3, 7).config;
+    cfg.iterations = 10;
+    cfg.strategy = strategy;
+    cfg.strategy.prophet_config.profile_iterations = 4;
+    cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
+    cfg.ps_shards = 2;
+    cfg.reliability.loss_rate = 0.01;
+    MultiJobConfig multi;
+    multi.topology = *cfg.topology;
+    multi.horizon = cfg.metrics_horizon;
+    multi.jobs.push_back({cfg, "solo"});
+
+    const ps::ClusterResult single = ps::run_cluster(cfg);
+    const MultiJobResult run = run_multi_job(multi);
+    ASSERT_EQ(run.jobs.size(), 1u);
+    const ps::ClusterResult& one = run.jobs.front().result;
+    EXPECT_EQ(one.simulated_time.count_nanos(), single.simulated_time.count_nanos())
+        << strategy.name();
+    EXPECT_EQ(run.makespan.count_nanos(), single.simulated_time.count_nanos());
+    EXPECT_EQ(one.events_fired, single.events_fired) << strategy.name();
+    EXPECT_EQ(one.mean_rate(), single.mean_rate()) << strategy.name();
+    EXPECT_EQ(one.audit_checks, single.audit_checks) << strategy.name();
+    EXPECT_GT(single.audit_checks, 0u);
+  }
+}
+
+TEST(MultiJobDeathTest, JobMissingItsHorizonAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MultiJobConfig multi = two_job_config(PlacementPolicy::kNetworkAware,
+                                        InterleavePolicy::kNone);
+  multi.horizon = Duration::millis(50);
+  EXPECT_DEATH((void)run_multi_job(multi), "did not finish training within the horizon");
+  ps::ClusterConfig cfg = small_job(3, 42).config;
+  cfg.metrics_horizon = Duration::seconds(1);
+  EXPECT_DEATH((void)ps::run_cluster(cfg), "did not finish training within the horizon");
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(TopologyValidation, RejectsFabricTooSmallForJob) {
   ps::ClusterConfig cfg;
   cfg.num_workers = 8;  // 8 workers + PS = 9 hosts > 2x4 fabric
   cfg.topology = TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 4.0);
-  EXPECT_DEATH(ps::Cluster{cfg}, "rack capacity cannot hold");
+  EXPECT_DEATH(cfg.validate(), "rack capacity cannot hold");
 }
 
 TEST(TopologyValidation, RejectsWorkerOverrideOnNonStarTopology) {
@@ -187,7 +187,7 @@ TEST(TopologyValidation, RejectsWorkerOverrideOnNonStarTopology) {
   cfg.num_workers = 3;
   cfg.topology = TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 4.0);
   cfg.worker_bandwidth_override = {Bandwidth::gbps(1)};
-  EXPECT_DEATH(ps::Cluster{cfg}, "worker_bandwidth_override is ambiguous");
+  EXPECT_DEATH(cfg.validate(), "worker_bandwidth_override is ambiguous");
 }
 
 TEST(TopologyValidation, SpecRejectsMalformedParameters) {
