@@ -7,9 +7,11 @@
 //      twice — RebalanceMode::kFull (the original whole-network progressive
 //      filling on every flow event) vs kIncremental (component-local
 //      rebalance) — and the end-to-end wall-time ratio is the speedup. The
-//      modes may order same-instant completions differently, so the cells
-//      compare *iteration completion* rather than event-stream fingerprints;
-//      rate-level bit-identity is proved by tests/test_incremental_rates.
+//      two arms assign bit-identical rates, so every cell with both arms
+//      must replay the same simulation (`arms_identical`: final nanosecond,
+//      event count, bytes on every link) — star and multi-job spine cells
+//      alike; rate-level bit-identity is proved by
+//      tests/test_incremental_rates.
 //
 //   2. The deterministic parallel sweep executor. A block of independent
 //      seed runs executes through exec::run_sweep at 1 thread and at
@@ -18,8 +20,8 @@
 //      recorded as `efficiency`.
 //
 // The bench fails only on correctness (a run that does not finish, a
-// thread-count-dependent byte stream, or a star cell whose incremental arm
-// diverges from kFull on simulated time / events / iterations); speedups are
+// thread-count-dependent byte stream, or a cell whose incremental arm
+// diverges from kFull on simulated time / events / link bytes); speedups are
 // recorded, not asserted, so CI timing noise cannot flake the suite — the
 // separate scale_ratchet tool compares speedups against the committed smoke
 // baseline, where the full/incremental ratio is machine-paired. Each cell
@@ -113,7 +115,7 @@ struct RunStats {
   // Simulated clock at the end of the run: with bit-identical rates the two
   // rebalance modes must land on the same nanosecond.
   std::int64_t sim_ns = 0;
-  // Whole bytes per fabric link (star cells): exact settlement makes these
+  // Whole bytes per fabric link: exact settlement makes these
   // mode-independent too.
   std::vector<std::int64_t> link_bytes;
   net::RebalanceStats rebalance;
@@ -123,10 +125,6 @@ struct RunStats {
 struct Cell {
   std::string label;
   std::size_t total_workers;
-  // Star cells additionally assert incremental/full identity on simulated
-  // time and event count (spine cells share one fabric across jobs, where
-  // same-nanosecond cross-job orderings may legitimately differ).
-  bool star = false;
   // Skip the kFull arm (star_4096, star_16384: the whole-network refill arm
   // is O(n^2) per wave and would run for tens of minutes).
   bool incremental_only = false;
@@ -161,6 +159,7 @@ RunStats run_spine(std::size_t jobs, std::size_t workers_per_job,
   stats.wall_ms = now_ms() - t0;
   stats.events = result.events_fired;
   stats.sim_ns = result.makespan.count_nanos();
+  stats.link_bytes = result.link_bytes;
   stats.rebalance = result.rebalance;
   stats.finished = result.jobs.size() == jobs;
   for (const auto& job : result.jobs) {
@@ -210,42 +209,42 @@ int main(int argc, char** argv) {
   const std::size_t spine_iters = 5;
   std::vector<Cell> cells;
   if (smoke) {
-    cells.push_back({"star_16", 16, /*star=*/true, /*incremental_only=*/false,
+    cells.push_back({"star_16", 16, /*incremental_only=*/false,
                      [&](net::RebalanceMode m) { return run_star(16, iters, m); }});
     // Ratchet anchor: big enough (~50-100 ms/arm) that the best-of-N
     // full/incremental ratio is stable against runner noise.
-    cells.push_back({"star_64", 64, /*star=*/true, /*incremental_only=*/false,
+    cells.push_back({"star_64", 64, /*incremental_only=*/false,
                      [&](net::RebalanceMode m) { return run_star(64, iters, m); }});
-    cells.push_back({"spine_2x8", 16, /*star=*/false, /*incremental_only=*/false,
+    cells.push_back({"spine_2x8", 16, /*incremental_only=*/false,
                      [&](net::RebalanceMode m) {
                        return run_spine(2, 8, spine_iters, m);
                      }});
   } else {
-    cells.push_back({"star_64", 64, /*star=*/true, /*incremental_only=*/false,
+    cells.push_back({"star_64", 64, /*incremental_only=*/false,
                      [&](net::RebalanceMode m) { return run_star(64, iters, m); }});
-    cells.push_back({"star_256", 256, /*star=*/true, /*incremental_only=*/false,
+    cells.push_back({"star_256", 256, /*incremental_only=*/false,
                      [&](net::RebalanceMode m) { return run_star(256, iters, m); }});
-    cells.push_back({"spine_2x64_128", 128, /*star=*/false,
+    cells.push_back({"spine_2x64_128", 128,
                      /*incremental_only=*/false, [&](net::RebalanceMode m) {
                        return run_spine(2, 64, spine_iters, m);
                      }});
     // The 256-worker headline cell: 4 jobs x 64 workers, one rack each.
-    cells.push_back({"spine_4x64_256", 256, /*star=*/false,
+    cells.push_back({"spine_4x64_256", 256,
                      /*incremental_only=*/false, [&](net::RebalanceMode m) {
                        return run_spine(4, 64, spine_iters, m);
                      }});
     if (big) {
-      cells.push_back({"star_1024", 1024, /*star=*/true,
+      cells.push_back({"star_1024", 1024,
                        /*incremental_only=*/false, [&](net::RebalanceMode m) {
                          return run_star(1024, 3, m);
                        }});
-      cells.push_back({"star_4096", 4096, /*star=*/true,
+      cells.push_back({"star_4096", 4096,
                        /*incremental_only=*/true, [&](net::RebalanceMode m) {
                          return run_star(4096, 3, m);
                        }});
       // A 60 s metrics horizon (the run simulates ~6 s): at 3600 s the
       // per-worker 250 ms series and their result copies would take ~11 GiB.
-      cells.push_back({"star_16384", 16384, /*star=*/true,
+      cells.push_back({"star_16384", 16384,
                        /*incremental_only=*/true, [&](net::RebalanceMode m) {
                          return run_star(16384, 3, m, Duration::seconds(60));
                        }});
@@ -291,6 +290,7 @@ int main(int argc, char** argv) {
     json.set(cell.label, "incremental_ms", incr.wall_ms);
     json.set(cell.label, "events", static_cast<double>(incr.events));
     json.set(cell.label, "rebalances", static_cast<double>(rs.rebalances));
+    json.set(cell.label, "coalesced", static_cast<double>(rs.coalesced));
     json.set(cell.label, "flows_settled", static_cast<double>(rs.flows_settled));
     json.set(cell.label, "settled_per_event", settled_per_event);
     json.set(cell.label, "component_flows", static_cast<double>(rs.component_flows));
@@ -334,27 +334,24 @@ int main(int argc, char** argv) {
                    cell.label.c_str(), full.wall_ms, smoke_budget_ms);
       ok = false;
     }
-    // Star cells: one job, one fabric — bit-identical rates mean the two
-    // arms must replay the same simulation (same final nanosecond, same
-    // event count, same bytes on every link). This is the cross-mode
-    // identity gate for the rate-group fast path; rate-level bit-identity is
+    // Bit-identical rates mean the two arms replay the same simulation (same
+    // final nanosecond, same event count, same bytes on every link). This is
+    // the cross-mode identity gate for the coalesced flush and the
+    // rate-group fast path; rate-level bit-identity is
     // tests/test_incremental_rates.
-    if (cell.star) {
-      const bool identical = incr.sim_ns == full.sim_ns && incr.events == full.events &&
-                             incr.link_bytes == full.link_bytes;
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FAIL: cell %s arms diverged: sim_ns %lld vs %lld, "
-                     "events %llu vs %llu, link bytes %s\n",
-                     cell.label.c_str(),
-                     static_cast<long long>(full.sim_ns),
-                     static_cast<long long>(incr.sim_ns),
-                     static_cast<unsigned long long>(full.events),
-                     static_cast<unsigned long long>(incr.events),
-                     incr.link_bytes == full.link_bytes ? "equal" : "differ");
-        ok = false;
-      }
-      json.set(cell.label, "arms_identical", identical ? 1.0 : 0.0);
+    const bool identical = incr.sim_ns == full.sim_ns && incr.events == full.events &&
+                           incr.link_bytes == full.link_bytes;
+    json.set(cell.label, "arms_identical", identical ? 1.0 : 0.0);
+    if (!identical) {
+      std::fprintf(stderr,
+                   "FAIL: cell %s arms diverged: sim_ns %lld vs %lld, "
+                   "events %llu vs %llu, link bytes %s\n",
+                   cell.label.c_str(), static_cast<long long>(full.sim_ns),
+                   static_cast<long long>(incr.sim_ns),
+                   static_cast<unsigned long long>(full.events),
+                   static_cast<unsigned long long>(incr.events),
+                   incr.link_bytes == full.link_bytes ? "equal" : "differ");
+      ok = false;
     }
   }
 

@@ -55,6 +55,9 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
   result.events_fired = sim.events_fired();
   result.spine_bytes = topology.spine_bytes();
   result.rebalance = network.rebalance_stats();
+  for (net::LinkId l = 0; l < network.link_count(); ++l) {
+    result.link_bytes.push_back(network.link_total_bytes(l));
+  }
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobOutcome out;
     out.name = job_name(j);

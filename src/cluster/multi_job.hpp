@@ -53,6 +53,8 @@ struct MultiJobResult {
   // Rebalance-engine counters for the shared fabric (one network, so one
   // snapshot covering every job).
   net::RebalanceStats rebalance;
+  // Whole bytes each fabric link carried over the run, indexed by LinkId.
+  std::vector<std::int64_t> link_bytes;
 };
 
 // Places, interleaves and runs every job to completion. Aborts if the jobs

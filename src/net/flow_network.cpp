@@ -12,6 +12,14 @@ FlowNetwork::FlowNetwork(sim::Simulator& sim, TcpCostModel cost_model,
                          RebalanceMode mode)
     : sim_{sim}, cost_model_{cost_model}, mode_{mode} {}
 
+FlowNetwork::~FlowNetwork() {
+  for (const RateGroup& g : groups_) {
+    if (g.live) sim_.lane_destroy(g.lane);
+  }
+  if (flush_pending_) sim_.cancel_instant_end(flush_hook_);
+  for (const std::uint32_t slot : active_) slots_[slot].flow.completion.cancel();
+}
+
 LinkId FlowNetwork::add_link(std::string name, Bandwidth cap) {
   PROPHET_CHECK(!cap.is_zero());
   links_.push_back(Link{std::move(name), cap});
@@ -116,8 +124,7 @@ void FlowNetwork::set_link_capacity(LinkId id, Bandwidth cap) {
   link(id).cap = cap;
   const std::uint32_t gid = group_of_link(id);
   if (gid != kNoGroup && group_capacity_change(gid, id)) return;
-  const LinkId seeds[1] = {id};
-  rebalance_from(seeds, 1);
+  invalidate(&id, 1);
 }
 
 Bandwidth FlowNetwork::link_capacity(LinkId id) const { return link(id).cap; }
@@ -131,8 +138,7 @@ void FlowNetwork::set_link_state(LinkId id, bool up) {
     return;
   }
   link(id).up = up;
-  const LinkId seeds[1] = {id};
-  rebalance_from(seeds, 1);
+  invalidate(&id, 1);
 }
 
 bool FlowNetwork::link_state(LinkId id) const { return link(id).up; }
@@ -189,12 +195,10 @@ void FlowNetwork::set_link_up(NodeId id, bool up) {
     reassign_rates();
     return;
   }
-  // Both access links flip at once: one rebalance over the union of their
-  // components (they are usually disjoint — tx carries sends, rx receives).
   links_[nodes_[id].tx].up = up;
   links_[nodes_[id].rx].up = up;
-  const LinkId seeds[2] = {nodes_[id].tx, nodes_[id].rx};
-  rebalance_from(seeds, 2);
+  const LinkId changed[2] = {nodes_[id].tx, nodes_[id].rx};
+  invalidate(changed, 2);
 }
 
 bool FlowNetwork::link_up(NodeId id) const {
@@ -254,7 +258,6 @@ FlowId FlowNetwork::start_flow(NodeId src, NodeId dst, Bytes size,
   s.flow.admission = next_admission_++;
   s.flow.last_settled = sim_.now();
   s.flow.on_complete = std::move(on_complete);
-  s.flow.completion = sim::EventHandle{};
   s.active_pos = static_cast<std::uint32_t>(active_.size());
   active_.push_back(slot);
   const FlowId id = make_id(s.generation, slot);
@@ -266,13 +269,15 @@ FlowId FlowNetwork::start_flow(NodeId src, NodeId dst, Bytes size,
     line_rate = std::min(line_rate, links_[s.flow.path[i]].cap);
   }
   const Duration setup = cost_model_.setup_delay(size, line_rate);
-  sim_.schedule_after(setup, [this, id] { enter_drain(id); });
+  s.flow.completion = sim_.schedule_after(setup, [this, id] { enter_drain(id); });
   return id;
 }
 
 Bandwidth FlowNetwork::flow_rate(FlowId id) const {
   const std::ptrdiff_t slot = find_slot(id);
   PROPHET_CHECK_MSG(slot >= 0, "flow_rate on unknown flow");
+  PROPHET_CHECK_MSG(!flush_pending_,
+                    "flow_rate read mid-instant, before the pending rebalance ran");
   const Flow& f = slots_[static_cast<std::size_t>(slot)].flow;
   // A grouped member's own rate field is lazily maintained; the group holds
   // the live share.
@@ -324,16 +329,10 @@ void FlowNetwork::graph_remove(std::uint32_t slot) {
   }
 }
 
-void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
-  ++epoch_;
-  comp_links_.clear();
+void FlowNetwork::collect_component(LinkId seed) {
   comp_flows_.clear();
-  for (std::size_t i = 0; i < n_seeds; ++i) {
-    const LinkId l = seeds[i];
-    if (link_epoch_[l] == epoch_) continue;
-    link_epoch_[l] = epoch_;
-    comp_links_.push_back(l);
-  }
+  comp_links_.assign(1, seed);
+  link_epoch_[seed] = epoch_;
   // Frontier expansion: a link pulls in its draining flows, a flow pulls in
   // every link on its path.
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
@@ -342,10 +341,6 @@ void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
       if (slot_epoch_[slot] == epoch_) continue;
       slot_epoch_[slot] = epoch_;
       comp_flows_.push_back(slot);
-      // A slow-path walk reaching any member dissolves its whole rate group:
-      // the walk is about to re-derive the component's rates from scratch,
-      // and every member shares this flow's anchor so the BFS covers them.
-      if (slots_[slot].flow.group != kNoGroup) dissolve_group(slots_[slot].flow.group);
       const Flow& f = slots_[slot].flow;
       for (std::uint8_t p = 0; p < f.path_len; ++p) {
         const LinkId pl = f.path[p];
@@ -374,6 +369,15 @@ void FlowNetwork::set_flow_rate(Flow& f, double rate) {
   f.rerated = rate_qbpns != f.rate_qbpns;
   f.rate = rate;
   f.rate_qbpns = rate_qbpns;
+}
+
+void FlowNetwork::rerate_flow(std::uint32_t slot, double rate, TimePoint now) {
+  Flow& f = slots_[slot].flow;
+  // A group spans its whole component, and dirtying a link dissolves the
+  // group on it, so a flushed component holds no member.
+  PROPHET_CHECK(f.group == kNoGroup);
+  if (quantize_rate(rate) != f.rate_qbpns) settle_flow(slot, now);
+  set_flow_rate(f, rate);
 }
 
 Duration FlowNetwork::drain_time(Quanta remaining_qb, std::int64_t rate_qbpns) {
@@ -451,15 +455,50 @@ void FlowNetwork::settle_link_busy(LinkId id, TimePoint now) {
   l.busy_mark = now;
 }
 
-void FlowNetwork::settle_component(TimePoint now) {
-  for (const std::uint32_t slot : comp_flows_) settle_flow(slot, now);
-  for (const LinkId l : comp_links_) settle_link_busy(l, now);
+void FlowNetwork::invalidate(const LinkId* links, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const LinkId l = links[i];
+    // The flush re-derives this component's rates from scratch, so a group
+    // on it stops being valid now, exactly as the flush's walk would find.
+    const std::uint32_t gid = group_of_link(l);
+    if (gid != kNoGroup) dissolve_group(gid);
+    if (!links_[l].dirty) {
+      links_[l].dirty = true;
+      dirty_links_.push_back(l);
+    }
+  }
+  if (flush_pending_) {
+    ++stats_.coalesced;
+    return;
+  }
+  flush_pending_ = true;
+  flush_hook_ = sim_.at_instant_end([this] { flush(); });
 }
 
-void FlowNetwork::rebalance_from(const LinkId* seeds, std::size_t n_seeds) {
-  collect_component(seeds, n_seeds);
-  settle_component(sim_.now());
-  refill_component();
+void FlowNetwork::flush() {
+  flush_pending_ = false;
+  const TimePoint now = sim_.now();
+  // One refill per component: a seed reached from an earlier seed already
+  // carries this flush's epoch.
+  ++epoch_;
+  for (const LinkId seed : dirty_links_) {
+    Link& l = links_[seed];
+    l.dirty = false;
+    if (link_epoch_[seed] == epoch_) continue;
+    if (link_flows_[seed].empty()) {
+      // Lost its last flow: nothing left to re-rate, only busy time to stop.
+      settle_link_busy(seed, now);
+      l.busy_active = false;
+      continue;
+    }
+    // Emptied, then joined by a rate group's fast-path admission: the group
+    // was checked against the link as it is now, so its rates are current.
+    if (group_of_link(seed) != kNoGroup) continue;
+    collect_component(seed);
+    refill_component();
+  }
+  dirty_links_.clear();
+  if (verify_rates_) verify_against_full();
 }
 
 template <typename SetRate>
@@ -542,6 +581,10 @@ void FlowNetwork::reschedule_completion(std::uint32_t slot) {
   if (!flow.rerated && flow.completion.pending()) return;
   flow.completion.cancel();
   const FlowId fid = make_id(slots_[slot].generation, slot);
+  // Refills settle every flow they re-rate and dissolve_group settles the
+  // members it hands back, so a moving ETA is computed from a current mark
+  // (a flow parked at zero before and after has drained nothing since).
+  PROPHET_CHECK(flow.last_settled == sim_.now() || flow.rate_qbpns == 0);
   const Quanta left_qb = flow.size_qb - flow.drained_qb;
   if (left_qb == 0) {
     flow.completion =
@@ -555,25 +598,17 @@ void FlowNetwork::reschedule_completion(std::uint32_t slot) {
 }
 
 void FlowNetwork::refill_component() {
-  // A departure between collect and refill leaves a freed (or no longer
-  // draining) slot in the buffer; compact it out before filling.
-  std::size_t kept = 0;
-  for (const std::uint32_t slot : comp_flows_) {
-    if (slots_[slot].occupied && slots_[slot].flow.draining) {
-      comp_flows_[kept++] = slot;
-    }
-  }
-  comp_flows_.resize(kept);
+  const TimePoint now = sim_.now();
   ++stats_.rebalances;
   stats_.component_flows += comp_flows_.size();
 
-  progressive_fill(comp_flows_, [&](std::uint32_t slot, double r) {
-    set_flow_rate(slots_[slot].flow, r);
-  });
+  progressive_fill(comp_flows_,
+                   [&](std::uint32_t slot, double r) { rerate_flow(slot, r, now); });
 
   // Busy flags: a component link is busy while any of its draining flows has
-  // a positive rate (marks were just settled to now by settle_component).
+  // a positive rate; its busy time accrues at the old flag up to now.
   for (const LinkId l : comp_links_) {
+    settle_link_busy(l, now);
     bool active = false;
     for (const std::uint32_t slot : link_flows_[l]) {
       if (slots_[slot].flow.rate > 0.0) {
@@ -584,15 +619,14 @@ void FlowNetwork::refill_component() {
     links_[l].busy_active = active;
   }
 
+  // If the refreshed component is a single-bottleneck incast, promote it to
+  // a rate group so subsequent events stay off this slow path entirely; its
+  // lane then stands in for the members' completion events.
+  if (maybe_form_group()) return;
+
   // Reschedule completions at the new rates (admission order, so same-instant
   // completions keep their deterministic tie-break).
   for (const std::uint32_t slot : comp_flows_) reschedule_completion(slot);
-
-  if (verify_rates_) verify_against_full();
-
-  // If the refreshed component is a single-bottleneck incast, promote it to
-  // a rate group so subsequent events stay off this slow path entirely.
-  maybe_form_group();
 }
 
 void FlowNetwork::gather_draining_by_admission(std::vector<std::uint32_t>& out) const {
@@ -603,12 +637,25 @@ void FlowNetwork::gather_draining_by_admission(std::vector<std::uint32_t>& out) 
   std::sort(out.begin(), out.end(), by_admission());
 }
 
+template <typename SetRate>
+void FlowNetwork::fill_all_components(SetRate&& set_rate) {
+  gather_draining_by_admission(all_draining_);
+  // Max-min allocations are component-local, so the whole-network filling
+  // runs one component at a time: a single pass over every link would let a
+  // share in one component near-tie (within the filling's 1e-12 tolerance)
+  // a share in an unrelated one and freeze both at the smaller value.
+  ++epoch_;
+  for (const std::uint32_t root : all_draining_) {
+    if (slot_epoch_[root] == epoch_) continue;
+    collect_component(slots_[root].flow.path[0]);
+    progressive_fill(comp_flows_, set_rate);
+  }
+}
+
 void FlowNetwork::verify_against_full() {
   ++stats_.verify_checks;
-  gather_draining_by_admission(all_draining_);
   verify_rate_.assign(slots_.size(), 0.0);
-  progressive_fill(all_draining_,
-                   [&](std::uint32_t slot, double r) { verify_rate_[slot] = r; });
+  fill_all_components([&](std::uint32_t slot, double r) { verify_rate_[slot] = r; });
   for (const std::uint32_t slot : all_draining_) {
     const Flow& f = slots_[slot].flow;
     if (f.rate != verify_rate_[slot]) ++stats_.verify_mismatches;
@@ -694,12 +741,12 @@ void FlowNetwork::group_set_rate(RateGroup& g, double rate, TimePoint now) {
   g.rate_qbpns = quantize_rate(rate);
 }
 
-void FlowNetwork::maybe_form_group() {
-  if (comp_flows_.size() < kMinGroupFlows) return;
+bool FlowNetwork::maybe_form_group() {
+  if (comp_flows_.size() < kMinGroupFlows) return false;
   const double rate = slots_[comp_flows_[0]].flow.rate;
-  if (rate <= 0.0) return;
+  if (rate <= 0.0) return false;
   for (const std::uint32_t slot : comp_flows_) {
-    if (slots_[slot].flow.rate != rate) return;
+    if (slots_[slot].flow.rate != rate) return false;
   }
   // Anchor: a component link carrying every flow whose fair share is the
   // common rate bit-for-bit; every other populated link must keep a share
@@ -718,14 +765,17 @@ void FlowNetwork::maybe_form_group() {
       have_anchor = true;
       anchor = l;
     } else {
-      if (share < rate) return;
+      if (share < rate) return false;
       min_other = std::min(min_other, share);
     }
   }
   // The group records its work clock on the one tracker bin grid.
-  if (!have_anchor || tracker_bin_ns_ == kMixedTrackerWidths) return;
+  if (!have_anchor || tracker_bin_ns_ == kMixedTrackerWidths) return false;
 
+  // The work clock starts at now, so every member must be settled to now
+  // (the refill settled only the re-rated ones).
   const TimePoint now = sim_.now();
+  for (const std::uint32_t slot : comp_flows_) settle_flow(slot, now);
   std::uint32_t gid;
   if (!free_groups_.empty()) {
     gid = free_groups_.back();
@@ -740,7 +790,7 @@ void FlowNetwork::maybe_form_group() {
   g.rate = rate;
   g.rate_qbpns = quantize_rate(rate);
   g.min_other_share = min_other;
-  g.seg_start = now;  // every member was just settled to now
+  g.seg_start = now;
   g.seg_work_qb = 0;
   g.edge_width_ns = tracker_bin_ns_;
   g.first_edge = tracker_bin_ns_ > 0 ? now.count_nanos() / tracker_bin_ns_ + 1 : 0;
@@ -762,6 +812,7 @@ void FlowNetwork::maybe_form_group() {
   g.lane = sim_.lane_create([this, gid] { group_lane_fire(gid); });
   ++stats_.group_forms;
   group_rearm(gid, now);
+  return true;
 }
 
 void FlowNetwork::group_rearm(std::uint32_t gid, TimePoint now) {
@@ -811,13 +862,11 @@ void FlowNetwork::group_remove_member(std::uint32_t gid, std::uint32_t slot,
   const double new_rate =
       links_[g.anchor].cap.bytes_per_second() / static_cast<double>(g.n);
   if (new_rate > g.min_other_share) {
-    // The bottleneck may move off the anchor: dissolve and pay one full
-    // component rebalance (which re-forms a group with a fresh bound when
-    // the shape still qualifies).
+    // The bottleneck may move off the anchor: dissolve and leave the
+    // component to the instant's flush (which re-forms a group with a fresh
+    // bound when the shape still qualifies).
     const LinkId anchor = g.anchor;
-    dissolve_group(gid);
-    const LinkId seeds[1] = {anchor};
-    rebalance_from(seeds, 1);
+    invalidate(&anchor, 1);
     return;
   }
   ++stats_.group_fast_events;
@@ -949,7 +998,7 @@ void FlowNetwork::group_verify(std::uint32_t gid) {
   for (const std::uint32_t slot : link_flows_[g.anchor]) {
     set_flow_rate(slots_[slot].flow, g.rate);
   }
-  verify_against_full();
+  if (!flush_pending_) verify_against_full();
 }
 
 void FlowNetwork::remove_active(std::uint32_t slot) {
@@ -989,12 +1038,10 @@ void FlowNetwork::advance_to_now() {
 }
 
 void FlowNetwork::reassign_rates() {
-  gather_draining_by_admission(all_draining_);
+  fill_all_components(
+      [&](std::uint32_t slot, double r) { set_flow_rate(slots_[slot].flow, r); });
   ++stats_.rebalances;
   stats_.component_flows += all_draining_.size();
-  progressive_fill(all_draining_, [&](std::uint32_t slot, double r) {
-    set_flow_rate(slots_[slot].flow, r);
-  });
   for (Link& l : links_) l.busy_active = false;
   for (const std::uint32_t slot : all_draining_) {
     const Flow& flow = slots_[slot].flow;
@@ -1012,9 +1059,8 @@ void FlowNetwork::reassign_rates() {
 
 void FlowNetwork::enter_drain(FlowId id) {
   const std::ptrdiff_t found = find_slot(id);
-  // The flow may have been cancelled while still in setup; its ramp event
-  // then fires against a stale id and must be inert.
-  if (found < 0) return;
+  // Cancelling a flow in setup cancels its setup event (Flow::completion).
+  PROPHET_CHECK_MSG(found >= 0, "setup event fired for a departed flow");
   const auto slot = static_cast<std::uint32_t>(found);
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();
@@ -1030,17 +1076,11 @@ void FlowNetwork::enter_drain(FlowId id) {
   if (group_try_admit(slot, now)) return;
   Flow& f = slots_[slot].flow;
   // The arrival may bridge previously independent components; its whole path
-  // seeds the frontier.
-  std::array<LinkId, kMaxPathLinks> seeds = f.path;
-  collect_component(seeds.data(), f.path_len);
-  settle_component(now);
+  // is dirty. It drains at rate zero until the flush rates it (zero time).
+  invalidate(f.path.data(), f.path_len);
   f.draining = true;
   f.last_settled = now;
   graph_insert(slot);
-  const auto at =
-      std::upper_bound(comp_flows_.begin(), comp_flows_.end(), slot, by_admission());
-  comp_flows_.insert(at, slot);
-  refill_component();
 }
 
 Bytes FlowNetwork::cancel_flow(FlowId id) {
@@ -1076,14 +1116,16 @@ Bytes FlowNetwork::depart(std::uint32_t slot) {
     group_remove_member(s.flow.group, slot, now);
     return left;
   }
-  std::array<LinkId, kMaxPathLinks> seeds = s.flow.path;
-  collect_component(seeds.data(), s.flow.path_len);
-  settle_component(now);
+  // Only the departing flow is settled; the rest of its component keeps its
+  // rates until the flush re-derives them.
+  settle_flow(slot, now);
   const Bytes left = unsent_bytes(s.flow);
   s.flow.completion.cancel();
+  const std::array<LinkId, kMaxPathLinks> path = s.flow.path;
+  const std::uint8_t path_len = s.flow.path_len;
   graph_remove(slot);
   release_slot(slot);
-  refill_component();
+  invalidate(path.data(), path_len);
   return left;
 }
 

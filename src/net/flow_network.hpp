@@ -34,18 +34,25 @@
 // FlowId encodes {generation, slot}, so admission allocates nothing in
 // steady state and stale ids are recognized cheaply.
 //
-// Rate maintenance is *incremental*: the network keeps the flow<->link
-// contention graph explicit (per-link lists of draining flows), and a flow
-// arrival/departure or a link capacity/state change rebalances only the
-// connected component of that graph reachable from the dirty links. Flows in
-// other components keep their rates, their byte accounting (settled lazily,
-// per flow, against piecewise-constant rates) and their already-scheduled
-// completion events. Max-min allocations are component-local, so the rates
-// are the ones a full recompute would produce — a property the differential
-// verification mode (`set_verify_rates`) checks bit-for-bit against the
-// retained full algorithm after every rebalance. `RebalanceMode::kFull`
-// keeps the original whole-network path alive as the reference baseline
-// (bench/scale measures incremental speedup against it).
+// Rate maintenance is *incremental* and *coalesced per instant*: the network
+// keeps the flow<->link contention graph explicit (per-link lists of draining
+// flows). A flow arrival/departure or a link capacity/state change settles
+// only the departing flow, mutates the graph and marks its links dirty; when
+// the simulated instant ends (Simulator::at_instant_end) one flush re-runs
+// progressive filling once per connected component reachable from the dirty
+// links. A burst of same-instant changes — synchronized pushes finishing
+// together, a block's pulls released to every worker at once — therefore
+// costs one refill, not one per change: the rates in between would have
+// lived for zero simulated time. Flows in other components keep their rates,
+// their byte accounting (settled lazily, per flow, against piecewise-constant
+// rates) and their already-scheduled completion events, and inside a flushed
+// component only flows whose quantized rate changed are settled. Max-min
+// allocations are component-local, so the rates are the ones a full
+// recompute would produce — a property the differential verification mode
+// (`set_verify_rates`) checks bit-for-bit against the retained full
+// algorithm after every flush. `RebalanceMode::kFull` keeps the original
+// whole-network path alive, eagerly re-rating on every change, as the
+// reference baseline (bench/scale measures incremental speedup against it).
 //
 // Byte accounting is exact fixed point: progress is counted in quanta of
 // 2^-kQuantumBits bytes and every rate is quantized once per assignment to
@@ -82,10 +89,11 @@ inline constexpr RackId kNoRack = 0xffffffffu;
 
 enum class Direction { kTx, kRx };
 
-// How rate reassignment reacts to a contention change. kIncremental walks
-// only the affected connected component of the flow<->link graph;
-// kFull re-runs progressive filling over the whole network on every change
-// (the original algorithm, kept as the reference/bench baseline).
+// How rate reassignment reacts to a contention change. kIncremental re-rates
+// only the affected connected components of the flow<->link graph, once per
+// simulated instant; kFull re-runs progressive filling over the whole
+// network on every change (the original algorithm, kept as the
+// reference/bench baseline).
 enum class RebalanceMode { kIncremental, kFull };
 
 // Rebalance-engine observability counters, cumulative over the network's
@@ -93,10 +101,15 @@ enum class RebalanceMode { kIncremental, kFull };
 // ClusterResult / MultiJobResult and the BENCH_scale.json writer so perf
 // regressions can be triaged from recorded artifacts instead of reruns.
 struct RebalanceStats {
-  // Slow-path component rebalances (collect + settle + progressive fill).
+  // Slow-path component rebalances (collect + progressive fill + completion
+  // rescheduling); kIncremental runs at most one per component per instant.
   std::uint64_t rebalances = 0;
-  // Flows walked by those slow-path rebalances (settled + re-rated + their
-  // completions rescheduled); rebalances/flows give the mean component size.
+  // Contention changes absorbed into an already pending end-of-instant
+  // flush (kIncremental): each would have been a rebalance of its own had
+  // rates been re-derived eagerly.
+  std::uint64_t coalesced = 0;
+  // Flows walked by those slow-path rebalances (re-rated + their completions
+  // rescheduled); rebalances/flows give the mean component size.
   std::uint64_t component_flows = 0;
   // Flow settlements: calls that advanced a draining flow's accounting mark
   // (each one O(1) plus the tracker bins the settled span crosses).
@@ -122,11 +135,16 @@ class FlowNetwork {
 
   FlowNetwork(sim::Simulator& sim, TcpCostModel cost_model,
               RebalanceMode mode = RebalanceMode::kIncremental);
+  // Withdraws everything the network queued on the simulator — per-flow
+  // setup and completion events, rate-group lanes, a pending flush — so the
+  // simulator may keep running after the network is gone. Destroy the
+  // network before its simulator.
+  ~FlowNetwork();
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
   [[nodiscard]] RebalanceMode rebalance_mode() const { return mode_; }
-  // When enabled (tests), every incremental rebalance is followed by a full
+  // When enabled (tests), every incremental flush is followed by a full
   // progressive-filling recompute over the whole network and each draining
   // flow's rate is checked bit-identical against it; aborts on divergence.
   void set_verify_rates(bool on) { verify_rates_ = on; }
@@ -197,7 +215,10 @@ class FlowNetwork {
 
   [[nodiscard]] bool flow_active(FlowId id) const { return find_slot(id) >= 0; }
   [[nodiscard]] std::size_t active_flow_count() const { return active_.size(); }
-  // Current drain rate; zero while in setup.
+  // Current drain rate; zero while in setup. Rates are re-derived when the
+  // instant ends, so reading one mid-instant, after a contention change and
+  // before the flush, is a checked error (the simulator's run, run_until
+  // and step all return with the instant flushed).
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
 
   // --- observability ------------------------------------------------------
@@ -235,6 +256,8 @@ class FlowNetwork {
     Bandwidth cap;
     bool up = true;
     bool busy_active = false;
+    // Queued in dirty_links_ for the pending flush.
+    bool dirty = false;
     std::int64_t total_bytes = 0;
     Duration busy{};
     TimePoint busy_mark{};
@@ -281,6 +304,8 @@ class FlowNetwork {
     std::uint32_t group = kNoGroup;
     Quanta group_mark_qb = 0;
     std::function<void(FlowId)> on_complete;
+    // The setup event while in setup, then the completion event (none while
+    // grouped or parked at rate zero).
     sim::EventHandle completion;
   };
   // One slab entry; `generation` advances when the slot is recycled so stale
@@ -311,9 +336,10 @@ class FlowNetwork {
   // as W(now) - W(mark); W at each tracker-bin edge the group crosses is
   // recorded so tracker credits cost O(bins spanned). A completion/admission/
   // cancel costs O(log n) heap work plus O(1) bookkeeping; anything that can
-  // change the bottleneck structure (a BFS reaching the group, a link going
-  // down, the risen share crossing another link's) dissolves the group back
-  // to the slow path, which re-forms it if the shape still qualifies.
+  // change the bottleneck structure (a slow-path change dirtying one of its
+  // links, a link going down, the risen share crossing another link's)
+  // dissolves the group back to the slow path, whose flush re-forms it if
+  // the shape still qualifies. A group always spans its whole component.
   //
   // Next-finisher heap entry; lazy deletion (an entry is live while its slot
   // still holds the same admission and membership).
@@ -368,9 +394,11 @@ class FlowNetwork {
   // Contention-graph maintenance (draining flows only).
   void graph_insert(std::uint32_t slot);
   void graph_remove(std::uint32_t slot);
-  // BFS over the contention graph from `seeds` into comp_links_/comp_flows_
-  // (flows sorted by admission). Seeds are always included in comp_links_.
-  void collect_component(const LinkId* seeds, std::size_t n_seeds);
+  // BFS over the contention graph from `seed` into comp_links_/comp_flows_
+  // (flows sorted by admission). Links and flows are stamped with epoch_,
+  // which the caller advances once per pass: one pass may collect several
+  // components, and stamps from earlier ones are never revisited.
+  void collect_component(LinkId seed);
   // Credits the flow's drained bytes to its links for [last_settled, now]:
   // O(1) plus the tracker bins the span crosses, grouped or not.
   void settle_flow(std::uint32_t slot, TimePoint now);
@@ -382,6 +410,10 @@ class FlowNetwork {
                     Quanta to_qb, WorkAt&& work_at);
   // Assigns a filling rate and its quantized twin.
   static void set_flow_rate(Flow& f, double rate);
+  // set_flow_rate for a refill: a flow whose quantized rate changes is first
+  // settled to `now` at its old rate (unchanged ones need no settlement —
+  // exact work telescopes across the instant).
+  void rerate_flow(std::uint32_t slot, double rate, TimePoint now);
   // bytes/s -> whole quanta per ns (at least one for any positive rate).
   static std::int64_t quantize_rate(double rate);
   // Work truncated to whole bytes.
@@ -395,19 +427,24 @@ class FlowNetwork {
   static Duration drain_time(Quanta remaining_qb, std::int64_t rate_qbpns);
   // Accrues the link's busy time to `now`.
   void settle_link_busy(LinkId id, TimePoint now);
-  // Settles every flow and link of the component already in comp_* buffers.
-  void settle_component(TimePoint now);
-  // Settles + re-runs progressive filling + reschedules completions for the
-  // component reachable from `seeds` (call after mutating caps/link state;
-  // for arrivals/departures, mutate the graph between collect and fill — see
-  // enter_drain / complete_flow).
-  void rebalance_from(const LinkId* seeds, std::size_t n_seeds);
+  // Records a contention change on `links` (after the graph/capacity
+  // mutation): dissolves any rate group on them, marks them dirty and
+  // queues the end-of-instant flush if none is pending.
+  void invalidate(const LinkId* links, std::size_t n);
+  // End-of-instant hook: one collect + refill per component reachable from
+  // the dirty links, then (verify mode) the full differential check.
+  void flush();
   // Progressive filling over `flow_slots` (admission-sorted, draining);
   // set_rate(slot, rate) receives each flow's rate once. Uses fill_/scratch.
   template <typename SetRate>
   void progressive_fill(const std::vector<std::uint32_t>& flow_slots,
                         SetRate&& set_rate);
-  // Filling + busy-flag refresh + completion rescheduling for comp_flows_.
+  // Progressive filling over every draining flow (gathered into
+  // all_draining_), one connected component at a time.
+  template <typename SetRate>
+  void fill_all_components(SetRate&& set_rate);
+  // Filling + busy-flag refresh for comp_flows_, then rate-group promotion
+  // or, failing that, completion rescheduling.
   void refill_component();
   // Moves one draining flow's completion event to its ETA at the current
   // rate; a pending event at an unchanged quantized rate stays put.
@@ -419,8 +456,9 @@ class FlowNetwork {
   // The group (if any) owning link `id`'s draining flows.
   [[nodiscard]] std::uint32_t group_of_link(LinkId id) const;
   // Promotes comp_flows_/comp_links_ to a rate group when the shape
-  // qualifies; called at the end of every slow-path refill.
-  void maybe_form_group();
+  // qualifies (returns whether it did); called by every slow-path refill
+  // once the rates are written.
+  bool maybe_form_group();
   // The group's work clock at `t`: from the live segment for t >= seg_start,
   // else from the recorded tracker-bin edges (t must be a grid edge then).
   [[nodiscard]] static Quanta group_work_at(const RateGroup& g, std::int64_t t_ns);
@@ -443,10 +481,12 @@ class FlowNetwork {
   bool group_capacity_change(std::uint32_t gid, LinkId id);
   // Settles every member to now, restores per-flow rates/completions being
   // managed eagerly again, and frees the group (members keep draining; the
-  // caller must follow with a slow-path rebalance covering them).
+  // caller has dirtied a link of theirs, so the flush re-rates them).
   void dissolve_group(std::uint32_t gid);
   void group_destroy(std::uint32_t gid);
-  // Verify mode: refresh member rates, then run the full differential check.
+  // Verify mode: refresh member rates, then run the full differential check
+  // unless a flush is pending (other components' rates are stale until it
+  // runs, for zero simulated time; the flush verifies them all).
   void group_verify(std::uint32_t gid);
   // Lane callback: the group head finished.
   void group_lane_fire(std::uint32_t gid);
@@ -492,6 +532,11 @@ class FlowNetwork {
   std::uint64_t next_admission_ = 0;
   // Full-recompute mode's global settlement clock.
   TimePoint last_update_{};
+  // Links whose contention changed during the current instant (each once),
+  // and the queued flush that re-rates their components.
+  std::vector<LinkId> dirty_links_;
+  bool flush_pending_ = false;
+  sim::HookId flush_hook_ = 0;
 
   // The explicit contention graph: draining flows on each link.
   std::vector<std::vector<std::uint32_t>> link_flows_;

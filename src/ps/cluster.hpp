@@ -61,7 +61,7 @@ struct ClusterResult {
   // shared snapshot.
   net::RebalanceStats rebalance;
   // Whole bytes each fabric link carried over the run, indexed by LinkId
-  // (run_cluster only).
+  // (run_cluster only; run_multi_job reports them per fabric).
   std::vector<std::int64_t> link_bytes;
 
   // Mean per-worker training rate (samples/s) over the window.

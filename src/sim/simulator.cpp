@@ -207,27 +207,64 @@ bool Simulator::dispatch(const Record& rec) {
   return true;
 }
 
+HookId Simulator::at_instant_end(Callback cb) {
+  PROPHET_CHECK(cb != nullptr);
+  const HookId id = next_hook_++;
+  hooks_.push_back(Hook{id, std::move(cb)});
+  return id;
+}
+
+void Simulator::cancel_instant_end(HookId id) {
+  for (std::vector<Hook>* batch : {&hooks_, &running_hooks_}) {
+    for (Hook& h : *batch) {
+      if (h.id == id) h.cb = nullptr;
+    }
+  }
+}
+
+void Simulator::run_hook_batch() {
+  // Hooks queued by this batch form the next one: they run after any
+  // zero-delay record the batch scheduled.
+  running_hooks_.swap(hooks_);
+  for (Hook& h : running_hooks_) {
+    if (!h.cb) continue;  // withdrawn
+    Callback cb = std::move(h.cb);
+    cb();
+  }
+  running_hooks_.clear();
+}
+
 std::uint64_t Simulator::run() {
   std::uint64_t fired = 0;
-  while (!heap_.empty()) {
+  for (;;) {
+    end_instant_if_over();
+    if (heap_.empty()) return fired;
     if (dispatch(pop_front())) ++fired;
   }
-  return fired;
 }
 
 std::uint64_t Simulator::run_until(TimePoint deadline) {
   std::uint64_t fired = 0;
-  while (!heap_.empty() && heap_.front().at <= deadline) {
+  for (;;) {
+    end_instant_if_over();
+    if (heap_.empty() || heap_.front().at > deadline) break;
     if (dispatch(pop_front())) ++fired;
   }
+  // Only a deadline already behind now() can leave a same-instant record
+  // queued here; the caller has closed the instant, so its hooks run anyway.
+  while (!hooks_.empty()) run_hook_batch();
   return fired;
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    if (dispatch(pop_front())) return true;
+  for (;;) {
+    end_instant_if_over();
+    if (heap_.empty()) return false;
+    if (dispatch(pop_front())) {
+      end_instant_if_over();
+      return true;
+    }
   }
-  return false;
 }
 
 }  // namespace prophet::sim

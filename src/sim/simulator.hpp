@@ -4,6 +4,12 @@
 // order, so two events scheduled for the same instant run in the order they
 // were scheduled. Handlers may schedule or cancel further events freely.
 //
+// An instant may also carry end-of-instant hooks (at_instant_end): callbacks
+// that run once every record at now() has fired, before the clock moves.
+// They are not events — they take no seq and are never counted — so a
+// subsystem can coalesce a burst of same-instant changes into one piece of
+// work without perturbing the event stream.
+//
 // Determinism is a feature, not a simplification — every paired
 // scheduler-vs-scheduler experiment in the benches relies on replaying the
 // identical compute/network random draws under a different communication
@@ -40,6 +46,9 @@ class Simulator;
 // heap push per re-aim and nothing else — no slot churn, no callback moves.
 using LaneId = std::uint32_t;
 inline constexpr LaneId kNoLane = 0xffffffffu;
+
+// Identifier of a queued end-of-instant hook (see Simulator::at_instant_end).
+using HookId = std::uint64_t;
 
 namespace detail {
 
@@ -148,13 +157,27 @@ class Simulator {
   // simulator — no reference cycle keeps it alive once cancelled.
   EventHandle schedule_periodic(Duration period, std::function<void(TimePoint)> cb);
 
-  // Runs until the queue drains. Returns the number of events fired.
+  // Runs until the queue drains and no hook is queued. Returns the number of
+  // events fired.
   std::uint64_t run();
   // Runs until the queue drains or simulated time would pass `deadline`;
-  // events at exactly `deadline` still fire.
+  // events at exactly `deadline` still fire. Returns with no hook queued.
   std::uint64_t run_until(TimePoint deadline);
-  // Fires exactly one event if any is pending. Returns false on empty queue.
+  // Fires exactly one event if any is pending, then ends the instant if that
+  // event was its last. Returns false once no event is left.
   bool step();
+
+  // --- end-of-instant hooks ------------------------------------------------
+  // Queues `cb` to run once when the current instant ends: after the last
+  // record at now() has fired — records scheduled during the instant
+  // included — and before time advances or the queue drains. Hooks run in
+  // the order they were queued. A hook that schedules a zero-delay record
+  // reopens the instant: that record fires next, and hooks queued meanwhile
+  // run after it. Hooks take no seq and count in neither events_fired() nor
+  // pending_events().
+  HookId at_instant_end(Callback cb);
+  // Withdraws a queued hook; a no-op once it has run.
+  void cancel_instant_end(HookId id);
 
   // --- event lanes ---------------------------------------------------------
   // Creates a lane owning `cb`. The lane starts disarmed; `lane_aim` arms it
@@ -174,7 +197,10 @@ class Simulator {
   // Live (created, not destroyed) lanes; exposed for the slab-reuse tests.
   [[nodiscard]] std::size_t lane_count() const { return lanes_live_; }
 
-  [[nodiscard]] bool empty() const { return pool_->live == 0 && lanes_armed_ == 0; }
+  // No pending event and no queued hook.
+  [[nodiscard]] bool empty() const {
+    return pool_->live == 0 && lanes_armed_ == 0 && hooks_.empty();
+  }
   // Scheduled, not-yet-fired, not-cancelled events (armed lanes included).
   [[nodiscard]] std::size_t pending_events() const { return pool_->live + lanes_armed_; }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
@@ -223,6 +249,15 @@ class Simulator {
   // anything fired (false for cancelled events and superseded lane aims).
   bool dispatch(const Record& rec);
   void periodic_tick(std::uint32_t slot, std::uint32_t generation);
+  // Runs the hooks queued so far, in queue order.
+  void run_hook_batch();
+  // Runs hook batches while the instant at now() is over (no record, live
+  // or dead, is left at now()). Inline: the event loops call it per event.
+  void end_instant_if_over() {
+    while (!hooks_.empty() && (heap_.empty() || heap_.front().at > now_)) {
+      run_hook_batch();
+    }
+  }
 
   std::shared_ptr<detail::EventPool> pool_;
   // 4-ary implicit min-heap on (at, seq). Versus a binary heap this halves
@@ -237,6 +272,15 @@ class Simulator {
   std::vector<std::uint32_t> lane_free_;
   std::size_t lanes_live_ = 0;
   std::size_t lanes_armed_ = 0;
+  // End-of-instant hooks, in queue order; `running_hooks_` holds the batch
+  // being run so a hook can still withdraw a later one of the same batch.
+  struct Hook {
+    HookId id;
+    Callback cb;
+  };
+  std::vector<Hook> hooks_;
+  std::vector<Hook> running_hooks_;
+  HookId next_hook_{0};
   TimePoint now_{};
   std::uint32_t next_seq_{0};
   std::uint64_t fired_{0};

@@ -1,6 +1,6 @@
 // Differential tests for incremental max-min recomputation: with
 // set_verify_rates(true), FlowNetwork re-runs the retained full progressive
-// filling after EVERY component rebalance and PROPHET_CHECKs each draining
+// filling after EVERY end-of-instant flush and PROPHET_CHECKs each draining
 // flow's rate bit-identical to it — so simply driving churn and dynamics
 // scenarios to completion under verify mode IS the proof. The scenarios
 // cover random flow churn, capacity scale/set, outages (park + resume) and
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -552,6 +553,216 @@ TEST(IncrementalRates, MultiJobLeafSpineVerified) {
   const auto result = cluster::run_multi_job(cfg);
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_GT(result.spine_bytes, 0);
+}
+
+// --- Coalesced same-instant rebalancing ----------------------------------------
+// Contention changes only mark links dirty; one flush per simulated instant
+// re-rates each affected component once. Rates in between would live for
+// zero simulated time, so skipping them moves no byte and no completion.
+
+TcpCostModel no_overhead_model() {
+  TcpCostParams params;
+  params.per_task_overhead = Duration::zero();
+  params.slow_start = false;
+  return TcpCostModel{params};
+}
+
+// A synchronized incast: k pushes leave setup on the same nanosecond, and
+// the k arrivals cost one component refill, not k.
+TEST(CoalescedRebalance, SameInstantArrivalsCostOneRebalance) {
+  Fixture f;
+  f.net.set_verify_rates(true);
+  const NodeId ps = f.net.add_node("ps", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  constexpr int kFlows = 12;
+  int completed = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    const NodeId w = f.net.add_node("w" + std::to_string(i), Bandwidth::gbps(1),
+                                    Bandwidth::gbps(1));
+    f.net.start_flow(w, ps, Bytes::of(4'000'000), [&completed](FlowId) { ++completed; });
+  }
+  // Every flow enters drain at the end of the same 50 us setup.
+  f.sim.run_until(TimePoint::origin() + 1_ms);
+  const RebalanceStats& stats = f.net.rebalance_stats();
+  EXPECT_EQ(stats.rebalances, 1u);
+  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kFlows - 1));
+  EXPECT_EQ(stats.component_flows, static_cast<std::uint64_t>(kFlows));
+  EXPECT_EQ(stats.verify_checks, 1u);
+  f.sim.run();
+  EXPECT_EQ(completed, kFlows);
+  EXPECT_EQ(f.net.total_bytes(ps, Direction::kRx), kFlows * 4'000'000);
+}
+
+// In a flush only flows whose quantized rate moves are settled: an arrival
+// that halves one flow's share but leaves a NIC-capped neighbour alone
+// settles the one, not the component.
+TEST(CoalescedRebalance, FlushSettlesOnlyReRatedFlows) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, no_overhead_model()};
+  net.set_verify_rates(true);
+  const NodeId ps = net.add_node("ps", Bandwidth::gbps(10), Bandwidth::gbps(2));
+  const NodeId a = net.add_node("a", Bandwidth::mbps(500), Bandwidth::gbps(10));
+  const NodeId b = net.add_node("b", Bandwidth::gbps(10), Bandwidth::gbps(10));
+  const NodeId c = net.add_node("c", Bandwidth::gbps(10), Bandwidth::gbps(10));
+  const Bytes size = Bytes::of(50'000'000);
+  int completed = 0;
+  const auto done = [&completed](FlowId) { ++completed; };
+  const FlowId fa = net.start_flow(a, ps, size, done);
+  const FlowId fb = net.start_flow(b, ps, size, done);
+  FlowId fc = 0;
+  sim.schedule_after(10_ms, [&] { fc = net.start_flow(c, ps, size, done); });
+  sim.run_until(TimePoint::origin() + 9_ms);
+  // a is capped by its own 500 Mbps NIC; b takes the rest of the PS's 2 Gbps.
+  EXPECT_EQ(net.flow_rate(fa).bytes_per_second(), 62.5e6);
+  EXPECT_EQ(net.flow_rate(fb).bytes_per_second(), 187.5e6);
+  const RebalanceStats before = net.rebalance_stats();
+  sim.run_until(TimePoint::origin() + 10_ms);
+  const RebalanceStats& after = net.rebalance_stats();
+  // c's arrival splits b's share with c; a keeps its rate, so only b is
+  // settled (c was admitted at this very instant).
+  EXPECT_EQ(net.flow_rate(fa).bytes_per_second(), 62.5e6);
+  EXPECT_EQ(net.flow_rate(fb).bytes_per_second(), 93.75e6);
+  EXPECT_EQ(net.flow_rate(fc).bytes_per_second(), 93.75e6);
+  EXPECT_EQ(after.rebalances - before.rebalances, 1u);
+  EXPECT_EQ(after.component_flows - before.component_flows, 3u);
+  EXPECT_EQ(after.flows_settled - before.flows_settled, 1u);
+  sim.run();
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(net.total_bytes(ps, Direction::kRx), 3 * size.count());
+}
+
+struct ChurnRun {
+  std::vector<std::int64_t> done_ns;  // per flow, -1 if it never completed
+  std::vector<std::int64_t> unsent;   // per cancel, bytes it returned
+  std::vector<std::int64_t> link_bytes;
+  std::vector<double> bins;  // every link's tracker bins, link order
+  RebalanceStats stats;
+};
+
+// Seeded churn on a 2x3 leaf-spine where every scripted change lands on a
+// 1 ms grid of 30 instants: arrivals, cancellations, link capacity changes
+// and link down/up pairs pile up on shared nanoseconds, and flow sizes in
+// whole 125 kB units put many completions on the grid too.
+ChurnRun run_same_instant_churn(RebalanceMode mode, std::uint64_t seed) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, no_overhead_model(), mode};
+  net.set_verify_rates(true);
+  std::vector<NodeId> hosts;
+  for (int r = 0; r < 2; ++r) {
+    const RackId rack = net.add_rack("r" + std::to_string(r), Bandwidth::mbps(1500),
+                                     Bandwidth::mbps(1500));
+    for (int h = 0; h < 3; ++h) {
+      hosts.push_back(net.add_node("h" + std::to_string(3 * r + h), Bandwidth::gbps(1),
+                                   Bandwidth::gbps(1)));
+      net.assign_rack(hosts.back(), rack);
+    }
+  }
+  std::vector<BinnedSeries> trackers(net.link_count(),
+                                     BinnedSeries{1_ms, Duration::seconds(2)});
+  for (LinkId l = 0; l < net.link_count(); ++l) net.attach_link_tracker(l, &trackers[l]);
+
+  Rng rng{seed};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto on_grid = [&rng](std::int64_t lo, std::int64_t hi) {
+    return TimePoint::origin() + Duration::millis(rng.uniform_int(lo, hi));
+  };
+  constexpr std::size_t kFlows = 60;
+  ChurnRun run;
+  run.done_ns.assign(kFlows, -1);
+  std::vector<FlowId> ids(kFlows, 0);  // 0 never names a live flow
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const std::size_t src = pick(hosts.size());
+    const std::size_t dst = (src + 1 + pick(hosts.size() - 1)) % hosts.size();
+    const Bytes size = Bytes::of(125'000 * rng.uniform_int(1, 8));
+    sim.schedule_at(on_grid(0, 29), [&, i, src, dst, size] {
+      ids[i] = net.start_flow(hosts[src], hosts[dst], size, [&, i](FlowId) {
+        run.done_ns[i] = sim.now().count_nanos();
+      });
+    });
+  }
+  run.unsent.assign(15, -1);
+  for (std::size_t k = 0; k < run.unsent.size(); ++k) {
+    const std::size_t victim = pick(kFlows);
+    sim.schedule_at(on_grid(0, 29), [&, k, victim] {
+      run.unsent[k] = net.cancel_flow(ids[victim]).count();
+    });
+  }
+  const Bandwidth caps[4] = {Bandwidth::mbps(250), Bandwidth::mbps(500),
+                             Bandwidth::gbps(1), Bandwidth::mbps(1500)};
+  for (int k = 0; k < 8; ++k) {
+    const auto l = static_cast<LinkId>(pick(net.link_count()));
+    const Bandwidth cap = caps[pick(4)];
+    sim.schedule_at(on_grid(0, 29), [&net, l, cap] { net.set_link_capacity(l, cap); });
+  }
+  for (int k = 0; k < 4; ++k) {
+    const auto l = static_cast<LinkId>(pick(net.link_count()));
+    const TimePoint down = on_grid(0, 29);
+    const TimePoint up = down + Duration::millis(rng.uniform_int(1, 5));
+    sim.schedule_at(down, [&net, l] { net.set_link_state(l, false); });
+    sim.schedule_at(up, [&net, l] { net.set_link_state(l, true); });
+  }
+  sim.run();
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    run.link_bytes.push_back(net.link_total_bytes(l));
+    for (std::size_t b = 0; b < trackers[l].bin_count(); ++b) {
+      run.bins.push_back(trackers[l].bin_amount(b));
+    }
+  }
+  run.stats = net.rebalance_stats();
+  return run;
+}
+
+// Property: the coalesced engine and the eager whole-network reference agree
+// on every completion nanosecond, every cancellation's unsent bytes, every
+// link total and every tracker bin, with verify mode checking the rates
+// after each flush.
+TEST(CoalescedRebalance, SameInstantChurnMatchesFullRecompute) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ChurnRun incr = run_same_instant_churn(RebalanceMode::kIncremental, seed);
+    const ChurnRun full = run_same_instant_churn(RebalanceMode::kFull, seed);
+    EXPECT_GT(incr.stats.coalesced, 0u) << "seed " << seed;
+    EXPECT_LT(incr.stats.rebalances, full.stats.rebalances) << "seed " << seed;
+    EXPECT_EQ(incr.stats.verify_mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(incr.done_ns, full.done_ns) << "seed " << seed;
+    EXPECT_EQ(incr.unsent, full.unsent) << "seed " << seed;
+    EXPECT_EQ(incr.link_bytes, full.link_bytes) << "seed " << seed;
+    EXPECT_EQ(incr.bins, full.bins) << "seed " << seed;
+  }
+}
+
+// A network destroyed mid-instant — with a live rate group's lane armed, a
+// flow still in setup, a draining flow's completion queued and a flush
+// pending — leaves nothing behind on the simulator, which keeps running.
+TEST(FlowNetworkLifetime, DestroyedMidInstantLeavesSimulatorClean) {
+  sim::Simulator sim;
+  auto net = std::make_unique<FlowNetwork>(sim, small_overhead_model());
+  const NodeId ps = net->add_node("ps", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  int completed = 0;
+  const auto done = [&completed](FlowId) { ++completed; };
+  for (int i = 0; i < 12; ++i) {
+    const NodeId w = net->add_node("w" + std::to_string(i), Bandwidth::gbps(1),
+                                   Bandwidth::gbps(1));
+    net->start_flow(w, ps, Bytes::of(16'000'000), done);
+  }
+  const NodeId u = net->add_node("u", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  const NodeId v = net->add_node("v", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  const NodeId x = net->add_node("x", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  net->start_flow(u, v, Bytes::of(100'000'000), done);
+  bool after = false;
+  sim.schedule_after(20_ms, [&] {
+    ASSERT_GT(net->rate_group_count(), 0u);
+    net->start_flow(x, u, Bytes::of(1'000'000), done);         // still in setup
+    net->set_capacity(x, Direction::kRx, Bandwidth::mbps(500));  // flush pending
+    net.reset();
+    EXPECT_EQ(sim.pending_events(), 1u);  // only the event below
+  });
+  sim.schedule_after(30_ms, [&] { after = true; });
+  sim.run();
+  EXPECT_TRUE(after);
+  EXPECT_EQ(completed, 0);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.lane_count(), 0u);
 }
 
 }  // namespace

@@ -254,6 +254,113 @@ TEST(SimulatorLanes, InterleavesWithPoolEventsInTimeOrder) {
   sim.lane_destroy(lane);
 }
 
+// --- end-of-instant hooks ---------------------------------------------------
+
+// The hook waits for every record at its instant, including ones scheduled
+// during the instant (after the hook was queued), and runs before the clock
+// moves on.
+TEST(SimulatorInstantEnd, RunsAfterEverySameInstantRecord) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_after(5_ms, [&] {
+    order.push_back(1);
+    sim.at_instant_end([&] {
+      order.push_back(9);
+      EXPECT_DOUBLE_EQ(sim.now().to_millis(), 5.0);
+    });
+    sim.schedule_after(0_ms, [&] {
+      order.push_back(3);
+      sim.schedule_after(0_ms, [&] { order.push_back(4); });
+    });
+  });
+  sim.schedule_after(5_ms, [&] { order.push_back(2); });
+  sim.schedule_after(6_ms, [&] { order.push_back(10); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 9, 10}));
+}
+
+// A hook that schedules a zero-delay record reopens the instant: the record
+// fires at the same time, and a hook it queues gets a second round there.
+TEST(SimulatorInstantEnd, ZeroDelayRecordFromHookGetsSecondRound) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_after(2_ms, [&] {
+    sim.at_instant_end([&] {
+      order.push_back(1);
+      sim.schedule_after(0_ms, [&] {
+        order.push_back(2);
+        sim.at_instant_end([&] {
+          order.push_back(3);
+          EXPECT_DOUBLE_EQ(sim.now().to_millis(), 2.0);
+        });
+      });
+    });
+  });
+  sim.schedule_after(3_ms, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(SimulatorInstantEnd, RunUntilReturnsWithNoHookPending) {
+  Simulator sim;
+  int hooks = 0;
+  sim.schedule_after(10_ms, [&] { sim.at_instant_end([&] { ++hooks; }); });
+  sim.schedule_after(20_ms, [&] { sim.at_instant_end([&] { ++hooks; }); });
+  sim.run_until(TimePoint::origin() + 10_ms);
+  EXPECT_EQ(hooks, 1);
+  EXPECT_DOUBLE_EQ(sim.now().to_millis(), 10.0);
+  // Queued between runs, with the next record in the future: the instant is
+  // already over, so the next call runs the hook before advancing.
+  sim.at_instant_end([&] {
+    ++hooks;
+    EXPECT_DOUBLE_EQ(sim.now().to_millis(), 10.0);
+  });
+  sim.run_until(TimePoint::origin() + 15_ms);
+  EXPECT_EQ(hooks, 2);
+  sim.run();
+  EXPECT_EQ(hooks, 3);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorInstantEnd, StepNeverAdvancesPastAPendingHook) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_after(1_ms, [&] {
+    order.push_back(1);
+    sim.at_instant_end([&] { order.push_back(2); });
+  });
+  sim.schedule_after(1_ms, [&] { order.push_back(3); });
+  sim.schedule_after(4_ms, [&] { order.push_back(4); });
+  // The first record leaves its instant open, so the hook stays queued.
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_FALSE(sim.empty());
+  // The second closes it: the hook runs before step() returns.
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_DOUBLE_EQ(sim.now().to_millis(), 1.0);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 4}));
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(SimulatorInstantEnd, InvisibleToEventCounters) {
+  Simulator sim;
+  int hooks = 0;
+  sim.schedule_after(1_ms, [&] {
+    sim.at_instant_end([&] { ++hooks; });
+    EXPECT_EQ(sim.pending_events(), 0u);
+  });
+  const HookId withdrawn = sim.at_instant_end([&] { hooks += 100; });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.cancel_instant_end(withdrawn);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(hooks, 1);
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(sim.empty());
+}
+
 TEST(SimulatorDeath, SchedulingIntoThePastAborts) {
   Simulator sim;
   sim.schedule_after(10_ms, [&] {
