@@ -137,7 +137,7 @@ void oracle_gap() {
   table.print(std::cout);
   std::printf("The greedy plan stays within a small constant factor of the "
               "exhaustive optimum computed with perfect hindsight — while "
-              "running in microseconds per iteration (see micro_benchmarks), "
+              "running in microseconds per iteration (perfbench core.plan_us), "
               "the paper's justification for not solving Eq. (6) exactly.\n");
 }
 

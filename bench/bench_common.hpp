@@ -13,9 +13,9 @@
 namespace prophet::bench {
 
 // Machine-tracked perf ledger: a two-level {section -> {metric -> value}}
-// JSON document. Benches (micro_benchmarks -> BENCH_engine.json, scale,
-// fault_recovery, multijob) update their own sections and preserve everyone
-// else's; the scale and fault ratchets read committed baselines back.
+// JSON document. Benches (scale, fault_recovery, multijob) update their own
+// sections and preserve everyone else's; the scale and fault ratchets read
+// committed baselines back.
 class BenchJson {
  public:
   // Loads `path` if it exists (tolerant of missing/empty files).

@@ -1,5 +1,5 @@
 # Benchmark harness: one binary per paper table/figure (plus ablations and
-# google-benchmark microbenchmarks). Built from the top-level list file so
+# the engine-scaling and fault-recovery sweeps). Built from the top-level list file so
 # that ${CMAKE_BINARY_DIR}/bench contains ONLY runnable binaries:
 #
 #   for b in build/bench/*; do $b; done
@@ -41,17 +41,6 @@ prophet_bench(allreduce_comparison)
 prophet_bench(fault_recovery)
 prophet_bench(multijob)
 prophet_bench(scale)
-
-# Microbenchmarks (google-benchmark): engine and Algorithm 1 costs. Uses a
-# custom main (not benchmark_main) so timings also land in BENCH_engine.json.
-add_executable(micro_benchmarks bench/micro_benchmarks.cpp $<TARGET_OBJECTS:prophet_bench_common>)
-target_include_directories(micro_benchmarks PRIVATE ${CMAKE_SOURCE_DIR}/src ${CMAKE_SOURCE_DIR}/bench)
-target_link_libraries(micro_benchmarks PRIVATE
-  prophet_ps prophet_core prophet_sched prophet_metrics prophet_dnn
-  prophet_net prophet_sim prophet_exec prophet_common prophet_warnings
-  benchmark::benchmark Threads::Threads)
-set_target_properties(micro_benchmarks PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 # Engine-scaling smoke: shrunk cells, verifies both rebalance modes finish,
 # that the star cell's incremental arm replays the kFull simulation

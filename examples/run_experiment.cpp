@@ -11,11 +11,13 @@
 //   ./build/examples/run_experiment --topology leaf-spine:2:4 --oversub 4
 //       --jobs 2 --placement network-aware --interleave cassini
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "allreduce/cluster.hpp"
 #include "cluster/multi_job.hpp"
+#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "net/dynamics.hpp"
 #include "net/topology.hpp"
@@ -108,8 +110,11 @@ int main(int argc, char** argv) {
 
   ps::ClusterConfig cfg;
   cfg.model = dnn::model_by_name(flags->get("model", std::string{"resnet50"}));
-  cfg.batch = static_cast<int>(flags->get("batch", std::int64_t{64}));
-  cfg.num_workers = static_cast<std::size_t>(flags->get("workers", std::int64_t{3}));
+  const std::size_t batch = flags->get_count("batch", 64);
+  PROPHET_CHECK_MSG(batch <= static_cast<std::size_t>(std::numeric_limits<int>::max()),
+                    "--batch is too large");
+  cfg.batch = static_cast<int>(batch);
+  cfg.num_workers = flags->get_count("workers", 3);
   cfg.worker_bandwidth = Bandwidth::gbps(flags->get("gbps", 3.0));
   cfg.ps_bandwidth = Bandwidth::gbps(flags->get("ps-gbps", 10.0));
   // --topology switches the config to the explicit TopologySpec API; without
@@ -130,12 +135,11 @@ int main(int argc, char** argv) {
     }
     cfg.topology = *spec;
   }
-  cfg.ps_shards = static_cast<std::size_t>(flags->get("ps-shards", std::int64_t{1}));
-  cfg.iterations = static_cast<std::size_t>(flags->get("iterations", std::int64_t{40}));
+  cfg.ps_shards = flags->get_count("ps-shards", 1);
+  cfg.iterations = flags->get_count("iterations", 40);
   cfg.seed = static_cast<std::uint64_t>(flags->get("seed", std::int64_t{42}));
   cfg.strategy = *strategy;
-  cfg.strategy.prophet_config.profile_iterations =
-      static_cast<std::size_t>(flags->get("profile-iters", std::int64_t{10}));
+  cfg.strategy.prophet_config.profile_iterations = flags->get_count("profile-iters", 10);
   if (flags->get("asp", false)) cfg.sync = ps::SyncMode::kAsp;
 
   // Dynamics timeline: --dynamics builds the base plan, the targeted fault
@@ -183,8 +187,7 @@ int main(int argc, char** argv) {
   plan->sort();
   cfg.dynamics = std::move(*plan);
   cfg.checkpoint_period = Duration::from_seconds(flags->get("checkpoint-s", 2.0));
-  cfg.reliability.retry_budget =
-      static_cast<std::size_t>(flags->get("retry-budget", std::int64_t{16}));
+  cfg.reliability.retry_budget = flags->get_count("retry-budget", 16);
 
   const std::string arch = flags->get("arch", std::string{"ps"});
   std::printf("%s | %s | %zu workers | %s | batch %d | %zu iterations",
@@ -214,7 +217,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto jobs = static_cast<std::size_t>(flags->get("jobs", std::int64_t{1}));
+  const std::size_t jobs = flags->get_count("jobs", 1);
   if (jobs > 1) {
     const std::string placement_name =
         flags->get("placement", std::string{"network-aware"});

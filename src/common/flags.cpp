@@ -1,6 +1,10 @@
 #include "common/flags.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+
+#include "common/check.hpp"
 
 namespace prophet {
 
@@ -42,14 +46,34 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
 
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it != values_.end() ? std::strtod(it->second.c_str(), nullptr) : fallback;
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  const bool whole = !text.empty() && end == text.c_str() + text.size() &&
+                     errno != ERANGE && std::isfinite(value);
+  PROPHET_CHECK_MSG(whole, ("--" + name + " '" + text + "' is not a number").c_str());
+  return value;
 }
 
 std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it != values_.end()
-             ? std::strtoll(it->second.c_str(), nullptr, 10)
-             : fallback;
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  const bool whole =
+      !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
+  PROPHET_CHECK_MSG(whole, ("--" + name + " '" + text + "' is not an integer").c_str());
+  return value;
+}
+
+std::size_t Flags::get_count(const std::string& name, std::size_t fallback) const {
+  const std::int64_t value = get(name, static_cast<std::int64_t>(fallback));
+  PROPHET_CHECK_MSG(value >= 0, ("--" + name + " must not be negative").c_str());
+  return static_cast<std::size_t>(value);
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {

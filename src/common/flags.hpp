@@ -1,8 +1,12 @@
 // Minimal command-line flag parser for the example/tool binaries:
-// `--name value` and `--name=value` forms, typed accessors with defaults,
-// and an auto-generated usage listing. No global state.
+// `--name value` and `--name=value` forms and typed accessors with defaults.
+// No global state. A numeric accessor aborts, naming the flag, when the
+// value does not parse whole: `--workers 3x` or `--workers` with no value
+// never reads as some number.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,6 +27,11 @@ class Flags {
   [[nodiscard]] double get(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t get(const std::string& name,
                                  std::int64_t fallback) const;
+  // An integer that must not be negative (a count of workers, iterations,
+  // ...): also aborts on a negative value, before it can wrap to a huge
+  // unsigned one.
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t fallback) const;
   [[nodiscard]] bool get(const std::string& name, bool fallback) const;
 
   // Non-flag positional arguments in order.

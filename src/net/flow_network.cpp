@@ -13,9 +13,7 @@ FlowNetwork::FlowNetwork(sim::Simulator& sim, TcpCostModel cost_model,
     : sim_{sim}, cost_model_{cost_model}, mode_{mode} {}
 
 FlowNetwork::~FlowNetwork() {
-  for (const RateGroup& g : groups_) {
-    if (g.live) sim_.lane_destroy(g.lane);
-  }
+  for (RateGroup& g : groups_) g.completion.cancel();
   if (flush_pending_) sim_.cancel_instant_end(flush_hook_);
   for (const std::uint32_t slot : active_) slots_[slot].flow.completion.cancel();
 }
@@ -621,7 +619,7 @@ void FlowNetwork::refill_component() {
 
   // If the refreshed component is a single-bottleneck incast, promote it to
   // a rate group so subsequent events stay off this slow path entirely; its
-  // lane then stands in for the members' completion events.
+  // one completion event then stands in for the members' own.
   if (maybe_form_group()) return;
 
   // Reschedule completions at the new rates (admission order, so same-instant
@@ -670,7 +668,7 @@ void FlowNetwork::verify_against_full() {
 // cap/int-count division progressive filling evaluates, quantized by the
 // same quantize_rate; member settlement credits W(now) - W(mark), which is
 // the sum of the per-segment integer products the eager path would credit;
-// and the lane is aimed with the same drain_time ceil-division as
+// and the completion is scheduled with the same drain_time ceil-division as
 // reschedule_completion. Because work is exact, that keeps verify mode and
 // the cross-mode byte identities exact. See DESIGN.md §4d.
 
@@ -801,7 +799,7 @@ bool FlowNetwork::maybe_form_group() {
     Flow& f = slots_[slot].flow;
     f.group = gid;
     f.group_mark_qb = 0;
-    // The lane supersedes per-flow completion events from here on.
+    // The group's completion supersedes per-flow ones from here on.
     f.completion.cancel();
     f.completion = sim::EventHandle{};
     g.heap.push_back(GroupEntry{f.size_qb - f.drained_qb, f.admission, slot});
@@ -809,7 +807,6 @@ bool FlowNetwork::maybe_form_group() {
   std::make_heap(g.heap.begin(), g.heap.end(), kGroupEntryLater);
   g.live = true;
   ++groups_live_;
-  g.lane = sim_.lane_create([this, gid] { group_lane_fire(gid); });
   ++stats_.group_forms;
   group_rearm(gid, now);
   return true;
@@ -817,19 +814,20 @@ bool FlowNetwork::maybe_form_group() {
 
 void FlowNetwork::group_rearm(std::uint32_t gid, TimePoint now) {
   RateGroup& g = groups_[gid];
-  if (group_heap_head(gid) < 0) {
-    sim_.lane_disarm(g.lane);
-    return;
-  }
+  g.completion.cancel();
+  if (group_heap_head(gid) < 0) return;
   // The head's work left is exactly what its eager settlement would leave,
-  // so the aim matches reschedule_completion to the nanosecond.
+  // so the event lands where reschedule_completion would put it, to the
+  // nanosecond.
   const Quanta left_qb = g.heap.front().vfinish_qb - group_work_at(g, now.count_nanos());
-  sim_.lane_aim(g.lane, left_qb <= 0 ? now : now + drain_time(left_qb, g.rate_qbpns));
+  g.completion = sim_.schedule_at(
+      left_qb <= 0 ? now : now + drain_time(left_qb, g.rate_qbpns),
+      [this, gid] { group_head_finished(gid); });
 }
 
-void FlowNetwork::group_lane_fire(std::uint32_t gid) {
+void FlowNetwork::group_head_finished(std::uint32_t gid) {
   const std::ptrdiff_t head = group_heap_head(gid);
-  PROPHET_CHECK_MSG(head >= 0, "group lane fired with no live member");
+  PROPHET_CHECK_MSG(head >= 0, "group completion fired with no live member");
   group_heap_pop(groups_[gid]);
   finish_flow(static_cast<std::uint32_t>(head));
 }
@@ -911,7 +909,7 @@ bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
     if (share < new_rate) return false;  // the arrival moves the bottleneck
     min_other = std::min(min_other, share);
   }
-  // Commit: one boundary, one heap push, one lane re-aim.
+  // Commit: one boundary, one heap push, one completion reschedule.
   group_set_rate(g, new_rate, now);
   f.draining = true;
   f.last_settled = now;
@@ -979,8 +977,7 @@ void FlowNetwork::dissolve_group(std::uint32_t gid) {
 
 void FlowNetwork::group_destroy(std::uint32_t gid) {
   RateGroup& g = groups_[gid];
-  sim_.lane_destroy(g.lane);
-  g.lane = sim::kNoLane;
+  g.completion.cancel();
   g.edge_work_qb.clear();
   g.heap.clear();
   g.live = false;

@@ -136,9 +136,9 @@ class FlowNetwork {
   FlowNetwork(sim::Simulator& sim, TcpCostModel cost_model,
               RebalanceMode mode = RebalanceMode::kIncremental);
   // Withdraws everything the network queued on the simulator — per-flow
-  // setup and completion events, rate-group lanes, a pending flush — so the
-  // simulator may keep running after the network is gone. Destroy the
-  // network before its simulator.
+  // setup and completion events, rate-group completion events, a pending
+  // flush — so the simulator may keep running after the network is gone.
+  // Destroy the network before its simulator.
   ~FlowNetwork();
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
@@ -332,7 +332,7 @@ class FlowNetwork {
   // the group keeps (a) a shared per-member work clock W(t), the work each
   // member drained since formation, (b) a next-finisher heap ordered by
   // virtual finish (W at join + work remaining at join), and (c) one
-  // simulator lane aimed at the head's completion. A member settles in O(1)
+  // simulator event at the head's completion. A member settles in O(1)
   // as W(now) - W(mark); W at each tracker-bin edge the group crosses is
   // recorded so tracker credits cost O(bins spanned). A completion/admission/
   // cancel costs O(log n) heap work plus O(1) bookkeeping; anything that can
@@ -364,7 +364,7 @@ class FlowNetwork {
     std::int64_t edge_width_ns = 0;
     std::int64_t first_edge = 0;
     std::vector<Quanta> edge_work_qb;
-    sim::LaneId lane = sim::kNoLane;
+    sim::EventHandle completion;  // the head's finish
     std::vector<GroupEntry> heap;  // binary min-heap on (vfinish, admission)
     bool live = false;
   };
@@ -469,7 +469,7 @@ class FlowNetwork {
   void group_heap_pop(RateGroup& g);
   // Drops stale heap entries; returns the live head slot or -1 if empty.
   std::ptrdiff_t group_heap_head(std::uint32_t gid);
-  // Re-aims the group's lane at its head's finish.
+  // Reschedules the group's completion event at its head's finish.
   void group_rearm(std::uint32_t gid, TimePoint now);
   // Fast-path admission of a settled, not-yet-draining flow; returns false
   // (leaving all state untouched) when the arrival must take the slow path.
@@ -488,8 +488,8 @@ class FlowNetwork {
   // unless a flush is pending (other components' rates are stale until it
   // runs, for zero simulated time; the flush verifies them all).
   void group_verify(std::uint32_t gid);
-  // Lane callback: the group head finished.
-  void group_lane_fire(std::uint32_t gid);
+  // Completion callback: the group head finished.
+  void group_head_finished(std::uint32_t gid);
   // Slot ordering by admission, the deterministic walk order everywhere.
   auto by_admission() const {
     return [this](std::uint32_t a, std::uint32_t b) {

@@ -14,11 +14,19 @@ BandwidthMonitor::BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network,
       config_{config},
       ewma_{config.ewma_alpha} {
   PROPHET_CHECK(config_.sample_period > Duration::zero());
-  timer_ = sim_.schedule_periodic(config_.sample_period,
-                                  [this](TimePoint) { sample_now(); });
+  schedule_tick();
 }
 
-BandwidthMonitor::~BandwidthMonitor() { timer_.cancel(); }
+// The queued tick captures `this`.
+BandwidthMonitor::~BandwidthMonitor() { tick_.cancel(); }
+
+void BandwidthMonitor::schedule_tick() {
+  tick_ = sim_.schedule_after(config_.sample_period, [this] {
+    if (stopped_) return;
+    sample_now();
+    schedule_tick();
+  });
+}
 
 void BandwidthMonitor::sample_now() {
   const auto bytes = static_cast<double>(network_.total_bytes(node_, dir_));

@@ -27,7 +27,8 @@ struct BandwidthMonitorConfig {
 
 class BandwidthMonitor {
  public:
-  // Monitors `node`'s `dir` port. Starts its periodic sampling immediately.
+  // Monitors `node`'s `dir` port. Starts its periodic sampling immediately:
+  // the first sample lands one period from now.
   BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network, NodeId node,
                    Direction dir, BandwidthMonitorConfig config = {});
   ~BandwidthMonitor();
@@ -39,13 +40,17 @@ class BandwidthMonitor {
   [[nodiscard]] bool has_measurement() const { return ewma_.has_value(); }
   [[nodiscard]] std::size_t samples_taken() const { return samples_; }
 
-  // Takes one sample immediately (also called by the periodic timer).
+  // Takes one sample immediately (also called by the periodic tick).
   void sample_now();
 
-  // Cancels the periodic timer (lets the simulation drain at shutdown).
-  void stop() { timer_.cancel(); }
+  // Stops sampling (lets the simulation drain at shutdown). The tick already
+  // queued is left in place and fires as a no-op.
+  void stop() { stopped_ = true; }
 
  private:
+  // Queues the next tick: it samples, then re-arms itself one period later.
+  void schedule_tick();
+
   sim::Simulator& sim_;
   FlowNetwork& network_;
   NodeId node_;
@@ -55,7 +60,8 @@ class BandwidthMonitor {
   double last_bytes_{0.0};
   Duration last_busy_{};
   std::size_t samples_{0};
-  sim::EventHandle timer_;
+  bool stopped_{false};
+  sim::EventHandle tick_;
 };
 
 }  // namespace prophet::net

@@ -16,8 +16,7 @@ Simulator::~Simulator() {
 EventHandle Simulator::schedule_at(TimePoint at, Callback cb) {
   PROPHET_CHECK_MSG(at >= now_, "scheduling into the past");
   PROPHET_CHECK(cb != nullptr);
-  const std::uint32_t slot = pool_->acquire(/*counts_live=*/true);
-  PROPHET_CHECK_MSG(slot < kLaneTag, "event pool exhausted the slot space");
+  const std::uint32_t slot = pool_->acquire();
   const std::uint32_t generation = pool_->slots[slot].generation;
   pool_->slots[slot].cb = std::move(cb);
   PROPHET_CHECK_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
@@ -29,103 +28,6 @@ EventHandle Simulator::schedule_at(TimePoint at, Callback cb) {
 EventHandle Simulator::schedule_after(Duration delay, Callback cb) {
   PROPHET_CHECK_MSG(delay >= Duration::zero(), "negative delay");
   return schedule_at(now_ + delay, std::move(cb));
-}
-
-EventHandle Simulator::schedule_periodic(Duration period,
-                                         std::function<void(TimePoint)> cb) {
-  PROPHET_CHECK(period > Duration::zero());
-  // The chain occupies a pool slot of its own (distinct from the per-tick
-  // queue slots): cancelling it stops future work, while a tick already in
-  // the queue keeps its own lifecycle and fires as a no-op. The tick
-  // callback captures only {this, slot, generation} — the chain's closure is
-  // owned by `chains_`, so no self-referencing cycle is formed and a
-  // cancelled chain's state is reclaimed by the next tick.
-  const std::uint32_t slot = pool_->acquire(/*counts_live=*/false);
-  const std::uint32_t generation = pool_->slots[slot].generation;
-  chains_.emplace(slot, PeriodicChain{period, std::move(cb)});
-  schedule_at(now_ + period, [this, slot, generation] { periodic_tick(slot, generation); });
-  return EventHandle{pool_, slot, generation};
-}
-
-void Simulator::periodic_tick(std::uint32_t slot, std::uint32_t generation) {
-  auto reclaim = [this, slot] {
-    chains_.erase(slot);
-    pool_->release(slot);
-  };
-  if (!pool_->pending(slot, generation)) {
-    reclaim();
-    return;
-  }
-  const auto it = chains_.find(slot);
-  PROPHET_CHECK(it != chains_.end());
-  it->second.cb(now_);
-  if (!pool_->pending(slot, generation)) {
-    reclaim();
-    return;
-  }
-  schedule_at(now_ + it->second.period,
-              [this, slot, generation] { periodic_tick(slot, generation); });
-}
-
-LaneId Simulator::lane_create(Callback cb) {
-  PROPHET_CHECK(cb != nullptr);
-  LaneId id;
-  if (!lane_free_.empty()) {
-    id = lane_free_.back();
-    lane_free_.pop_back();
-  } else {
-    id = static_cast<LaneId>(lanes_.size());
-    PROPHET_CHECK_MSG(id < kLaneTag, "lane slab exhausted the slot space");
-    lanes_.emplace_back();
-  }
-  Lane& ln = lanes_[id];
-  ln.cb = std::move(cb);
-  ln.armed = false;
-  ln.alive = true;
-  ++lanes_live_;
-  return id;
-}
-
-void Simulator::lane_destroy(LaneId id) {
-  PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  Lane& ln = lanes_[id];
-  if (ln.armed) {
-    ln.armed = false;
-    --lanes_armed_;
-  }
-  ln.alive = false;
-  ln.cb = nullptr;  // no-op if destroyed mid-fire: dispatch() holds the cb
-  --lanes_live_;
-  lane_free_.push_back(id);
-}
-
-void Simulator::lane_aim(LaneId id, TimePoint at) {
-  PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  PROPHET_CHECK_MSG(at >= now_, "aiming a lane into the past");
-  PROPHET_CHECK_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
-                    "event sequence counter exhausted");
-  Lane& ln = lanes_[id];
-  const std::uint32_t seq = next_seq_++;
-  ln.aim_seq = seq;  // supersedes any queued record for this lane
-  if (!ln.armed) {
-    ln.armed = true;
-    ++lanes_armed_;
-  }
-  heap_push(Record{at, seq, id | kLaneTag});
-}
-
-void Simulator::lane_disarm(LaneId id) {
-  PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  Lane& ln = lanes_[id];
-  if (ln.armed) {
-    ln.armed = false;
-    --lanes_armed_;
-  }
-}
-
-bool Simulator::lane_armed(LaneId id) const {
-  PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  return lanes_[id].armed;
 }
 
 void Simulator::heap_push(const Record& rec) {
@@ -162,13 +64,17 @@ Simulator::Record Simulator::pop_front() {
     heap_[i] = last;
     // Warm the next event's pool slot while the popped event's callback
     // runs — the slot access pattern is random, and this hides most of the
-    // resulting cache miss. (Lane records live in lanes_, not the pool.)
-    if ((heap_[0].slot & kLaneTag) == 0) __builtin_prefetch(&pool_->slots[heap_[0].slot]);
+    // resulting cache miss.
+    __builtin_prefetch(&pool_->slots[heap_[0].slot]);
   }
   return top;
 }
 
-void Simulator::fire(Record rec) {
+bool Simulator::dispatch(const Record& rec) {
+  if (pool_->slots[rec.slot].done) {  // cancelled while queued
+    pool_->release(rec.slot);
+    return false;
+  }
   PROPHET_CHECK(rec.at >= now_);
   now_ = rec.at;
   // Move the callback out before the slot is recycled: the callback itself
@@ -178,32 +84,6 @@ void Simulator::fire(Record rec) {
   pool_->release(rec.slot);
   ++fired_;
   cb();
-}
-
-bool Simulator::dispatch(const Record& rec) {
-  if ((rec.slot & kLaneTag) != 0) {
-    const LaneId id = rec.slot & ~kLaneTag;
-    Lane& ln = lanes_[id];
-    if (!ln.alive || !ln.armed || ln.aim_seq != rec.seq) return false;  // superseded
-    PROPHET_CHECK(rec.at >= now_);
-    now_ = rec.at;
-    ln.armed = false;
-    --lanes_armed_;
-    ++fired_;
-    // Run the callback from a local: it may re-aim this lane, destroy it, or
-    // even recycle the id for a fresh lane — destroying the std::function we
-    // are executing would be UB. Restore it only if the slot still wants it.
-    Callback cb = std::move(ln.cb);
-    cb();
-    Lane& after = lanes_[id];
-    if (after.alive && !after.cb) after.cb = std::move(cb);
-    return true;
-  }
-  if (pool_->slots[rec.slot].done) {  // cancelled while queued
-    pool_->release(rec.slot);
-    return false;
-  }
-  fire(rec);
   return true;
 }
 

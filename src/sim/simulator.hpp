@@ -10,6 +10,12 @@
 // subsystem can coalesce a burst of same-instant changes into one piece of
 // work without perturbing the event stream.
 //
+// Every queued record is a pooled one-shot event. Something that recurs (a
+// monitor's sampling tick) re-arms itself from its own callback, and
+// something that keeps moving its next instant (a rate group's next
+// finisher) cancels its pending event and schedules a fresh one; a
+// cancelled record stays in the heap and is skipped when popped.
+//
 // Determinism is a feature, not a simplification — every paired
 // scheduler-vs-scheduler experiment in the benches relies on replaying the
 // identical compute/network random draws under a different communication
@@ -28,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -37,15 +42,6 @@
 namespace prophet::sim {
 
 class Simulator;
-
-// Identifier of an event *lane*: a persistent, re-aimable sentinel event.
-// Where a plain scheduled event is one-shot (slot acquired, fired, released),
-// a lane keeps its callback and identity across arbitrarily many re-aims, so
-// a subsystem that repeatedly reschedules "the next interesting instant" for
-// some aggregate (e.g. a FlowNetwork rate group's next finisher) pays one
-// heap push per re-aim and nothing else — no slot churn, no callback moves.
-using LaneId = std::uint32_t;
-inline constexpr LaneId kNoLane = 0xffffffffu;
 
 // Identifier of a queued end-of-instant hook (see Simulator::at_instant_end).
 using HookId = std::uint64_t;
@@ -61,9 +57,6 @@ struct EventPool {
     std::function<void()> cb;
     std::uint32_t generation = 0;
     bool done = true;
-    // Whether cancelling this event must decrement `live` (periodic-chain
-    // slots never hold a queue entry, so they do not count as live events).
-    bool counts_live = false;
   };
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_list;
@@ -77,7 +70,7 @@ struct EventPool {
     return matches(slot, generation) && !slots[slot].done;
   }
 
-  std::uint32_t acquire(bool counts_live) {
+  std::uint32_t acquire() {
     std::uint32_t slot;
     if (!free_list.empty()) {
       slot = free_list.back();
@@ -87,8 +80,7 @@ struct EventPool {
       slots.emplace_back();
     }
     slots[slot].done = false;
-    slots[slot].counts_live = counts_live;
-    if (counts_live) ++live;
+    ++live;
     return slot;
   }
 
@@ -97,7 +89,7 @@ struct EventPool {
     Slot& s = slots[slot];
     if (s.done) return;
     s.done = true;
-    if (s.counts_live && live > 0) --live;
+    --live;
   }
 
   // Returns the slot to the free list; stale handles stop matching and the
@@ -151,11 +143,6 @@ class Simulator {
   EventHandle schedule_at(TimePoint at, Callback cb);
   // Schedules `cb` to run `delay` from now.
   EventHandle schedule_after(Duration delay, Callback cb);
-  // Schedules `cb` every `period`, starting at now + period. The returned
-  // handle cancels the whole chain (a tick already in the queue when the
-  // chain is cancelled fires as a no-op). The chain state is owned by the
-  // simulator — no reference cycle keeps it alive once cancelled.
-  EventHandle schedule_periodic(Duration period, std::function<void(TimePoint)> cb);
 
   // Runs until the queue drains and no hook is queued. Returns the number of
   // events fired.
@@ -179,30 +166,12 @@ class Simulator {
   // Withdraws a queued hook; a no-op once it has run.
   void cancel_instant_end(HookId id);
 
-  // --- event lanes ---------------------------------------------------------
-  // Creates a lane owning `cb`. The lane starts disarmed; `lane_aim` arms it
-  // (or moves an armed lane's target). When the lane's target instant is
-  // reached it disarms itself and runs `cb` — the callback may re-aim the
-  // lane, schedule events, or destroy the lane. Superseded aims are skipped
-  // without firing (lazy deletion in the heap, like cancelled events).
-  LaneId lane_create(Callback cb);
-  // Destroys the lane: pending aims become inert and the id may be recycled.
-  // Safe to call from inside the lane's own callback.
-  void lane_destroy(LaneId id);
-  // Arms the lane to fire at `at` (>= now), superseding any previous aim.
-  void lane_aim(LaneId id, TimePoint at);
-  // Un-arms the lane without destroying it; a later lane_aim re-arms.
-  void lane_disarm(LaneId id);
-  [[nodiscard]] bool lane_armed(LaneId id) const;
-  // Live (created, not destroyed) lanes; exposed for the slab-reuse tests.
-  [[nodiscard]] std::size_t lane_count() const { return lanes_live_; }
-
   // No pending event and no queued hook.
   [[nodiscard]] bool empty() const {
-    return pool_->live == 0 && lanes_armed_ == 0 && hooks_.empty();
+    return pool_->live == 0 && hooks_.empty();
   }
-  // Scheduled, not-yet-fired, not-cancelled events (armed lanes included).
-  [[nodiscard]] std::size_t pending_events() const { return pool_->live + lanes_armed_; }
+  // Scheduled, not-yet-fired, not-cancelled events.
+  [[nodiscard]] std::size_t pending_events() const { return pool_->live; }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   // Pool capacity (high-water mark of concurrently tracked events); exposed
   // for the slab-reuse tests.
@@ -220,35 +189,17 @@ class Simulator {
     std::uint32_t seq;
     std::uint32_t slot;
   };
-  // Heap records for lanes reuse the Record layout with the top bit of `slot`
-  // set (the pool would need 2^31 concurrent events to collide, checked at
-  // acquire). A lane record is live iff the lane is still armed with exactly
-  // this seq — seqs are unique, so a superseded aim can never false-match.
-  static constexpr std::uint32_t kLaneTag = 0x80000000u;
   static bool earlier(const Record& a, const Record& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
-  struct PeriodicChain {
-    Duration period;
-    std::function<void(TimePoint)> cb;
-  };
-  struct Lane {
-    Callback cb;
-    std::uint32_t aim_seq = 0;
-    bool armed = false;
-    bool alive = false;
-  };
 
   // Inserts into / pops the earliest record off heap_.
   void heap_push(const Record& rec);
   Record pop_front();
-  // Fires `rec`; assumes it is live.
-  void fire(Record rec);
-  // Routes a popped record (event or lane) to its callback; returns whether
-  // anything fired (false for cancelled events and superseded lane aims).
+  // Fires a popped record unless it was cancelled while queued; returns
+  // whether it fired.
   bool dispatch(const Record& rec);
-  void periodic_tick(std::uint32_t slot, std::uint32_t generation);
   // Runs the hooks queued so far, in queue order.
   void run_hook_batch();
   // Runs hook batches while the instant at now() is over (no record, live
@@ -264,14 +215,6 @@ class Simulator {
   // the sift depth and keeps a node's children in adjacent cache lines, which
   // is what dominates dispatch cost once the queue outgrows L2.
   std::vector<Record> heap_;
-  // Periodic-chain state, keyed by the chain's pool slot.
-  std::unordered_map<std::uint32_t, PeriodicChain> chains_;
-  // Lane slab (ids recycled through the free list; staleness is resolved by
-  // aim seq, so no generation counter is needed).
-  std::vector<Lane> lanes_;
-  std::vector<std::uint32_t> lane_free_;
-  std::size_t lanes_live_ = 0;
-  std::size_t lanes_armed_ = 0;
   // End-of-instant hooks, in queue order; `running_hooks_` holds the batch
   // being run so a hook can still withdraw a later one of the same batch.
   struct Hook {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -126,11 +127,12 @@ inline SimOutcome run_mixed_cancel_and_periodic() {
     if (rng.bernoulli(0.25)) handles.push_back(h);
   }
   for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
-  sim::EventHandle periodic =
-      sim.schedule_periodic(Duration::micros(700), [&](TimePoint) {
-        ++work;
-        if (work > 5500) periodic.cancel();
-      });
+  // A self-re-arming tick every 700 us until the work count passes 5500.
+  std::function<void()> tick = [&] {
+    ++work;
+    if (work <= 5500) sim.schedule_after(Duration::micros(700), tick);
+  };
+  sim.schedule_after(Duration::micros(700), tick);
   sim.schedule_after(Duration::millis(3), [&] {
     sim.schedule_after(Duration::millis(1), [&work] { work += 10; });
   });

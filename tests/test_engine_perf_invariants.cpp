@@ -297,24 +297,6 @@ TEST(EventPool, HandleOutlivesSimulator) {
   escaped.cancel();
 }
 
-TEST(EventPool, CancelledPeriodicChainIsReclaimed) {
-  sim::Simulator sim;
-  int ticks = 0;
-  sim::EventHandle chain = sim.schedule_periodic(Duration::micros(10), [&](TimePoint) {
-    ++ticks;
-  });
-  sim.schedule_after(Duration::micros(35), [&] { chain.cancel(); });
-  sim.run();
-  EXPECT_EQ(ticks, 3);
-  EXPECT_FALSE(chain.pending());
-  EXPECT_EQ(sim.pending_events(), 0u);
-  // All slots (chain + ticks + the cancel event) are back on the free list;
-  // scheduling a new event must reuse, not grow, the slab.
-  const std::size_t slots = sim.event_slot_count();
-  sim.schedule_after(Duration::micros(1), [] {});
-  EXPECT_EQ(sim.event_slot_count(), slots);
-}
-
 TEST(EventPool, SelfCancelInsideCallbackIsSafe) {
   sim::Simulator sim;
   sim::EventHandle h;

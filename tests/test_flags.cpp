@@ -66,5 +66,54 @@ TEST(Flags, BareDashDashIsError) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Flags, NumbersParseWhole) {
+  const Flags f = parse({"--workers", "-1", "--gbps", "-2.5", "--n", "+7"});
+  EXPECT_EQ(f.get("workers", std::int64_t{0}), -1);
+  EXPECT_DOUBLE_EQ(f.get("gbps", 0.0), -2.5);
+  EXPECT_EQ(f.get("n", std::int64_t{0}), 7);
+  EXPECT_EQ(f.get_count("n", 0), 7u);
+  EXPECT_EQ(f.get_count("absent", 3), 3u);
+}
+
+TEST(FlagsDeathTest, IntegerWithTrailingCharactersAborts) {
+  const Flags f = parse({"--workers", "3x"});
+  EXPECT_DEATH((void)f.get("workers", std::int64_t{0}),
+               "--workers '3x' is not an integer");
+}
+
+TEST(FlagsDeathTest, NonNumericIntegerAborts) {
+  const Flags f = parse({"--workers", "abc", "--seed=0x10"});
+  EXPECT_DEATH((void)f.get("workers", std::int64_t{0}), "--workers 'abc'");
+  EXPECT_DEATH((void)f.get("seed", std::int64_t{0}), "--seed '0x10'");
+}
+
+TEST(FlagsDeathTest, EmptyOrMissingValueAborts) {
+  // `--iterations=` carries an empty value; a bare `--workers` reads "true".
+  const Flags f = parse({"--iterations=", "--workers"});
+  EXPECT_DEATH((void)f.get("iterations", std::int64_t{0}), "--iterations ''");
+  EXPECT_DEATH((void)f.get("workers", std::int64_t{0}), "--workers 'true'");
+  EXPECT_DEATH((void)f.get("iterations", 0.0), "--iterations '' is not a number");
+}
+
+TEST(FlagsDeathTest, OutOfRangeAborts) {
+  const Flags f =
+      parse({"--seed", "99999999999999999999", "--gbps", "1e999", "--x", "inf"});
+  EXPECT_DEATH((void)f.get("seed", std::int64_t{0}), "--seed");
+  EXPECT_DEATH((void)f.get("gbps", 0.0), "--gbps '1e999' is not a number");
+  EXPECT_DEATH((void)f.get("x", 0.0), "--x 'inf'");
+}
+
+TEST(FlagsDeathTest, DoubleWithTrailingCharactersAborts) {
+  const Flags f = parse({"--gbps", "2.5Gb"});
+  EXPECT_DEATH((void)f.get("gbps", 0.0), "--gbps '2.5Gb' is not a number");
+}
+
+TEST(FlagsDeathTest, NegativeCountAborts) {
+  // What run_experiment reads --workers, --iterations, --jobs, ... through:
+  // -1 must not wrap to 2^64 - 1 workers.
+  const Flags f = parse({"--workers", "-1"});
+  EXPECT_DEATH((void)f.get_count("workers", 3), "--workers must not be negative");
+}
+
 }  // namespace
 }  // namespace prophet

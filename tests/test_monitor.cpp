@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/monitor.hpp"
 
 namespace prophet::net {
@@ -82,9 +84,67 @@ TEST(BandwidthMonitor, StopCancelsTimer) {
   net.add_node("b", Bandwidth::gbps(1), Bandwidth::gbps(1));
   BandwidthMonitor monitor{sim, net, a, Direction::kTx};
   monitor.stop();
-  // At most the already-queued tick fires (as a no-op); the chain is dead.
+  // At most the already-queued tick fires (as a no-op); no tick follows it.
   EXPECT_LE(sim.run(), 1u);
   EXPECT_EQ(monitor.samples_taken(), 0u);
+}
+
+TEST(BandwidthMonitor, SamplesOncePerPeriod) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, plain_model()};
+  const NodeId a = net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  BandwidthMonitorConfig cfg;
+  cfg.sample_period = 1_s;
+  BandwidthMonitor monitor{sim, net, a, Direction::kTx, cfg};
+  sim.run_until(TimePoint::origin() + 999_ms);
+  EXPECT_EQ(monitor.samples_taken(), 0u);
+  sim.run_until(TimePoint::origin() + 5_s);  // ticks at exactly 5 s still fire
+  EXPECT_EQ(monitor.samples_taken(), 5u);
+  EXPECT_EQ(sim.events_fired(), 5u);
+  EXPECT_EQ(sim.pending_events(), 1u);  // the tick at 6 s
+  monitor.stop();
+}
+
+// stop() leaves the queued tick in place: it still fires, as a no-op, and
+// arms no successor, so the simulation drains.
+TEST(BandwidthMonitor, StoppedMonitorsQueuedTickFiresAsNoOp) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, plain_model()};
+  const NodeId a = net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  BandwidthMonitorConfig cfg;
+  cfg.sample_period = 1_s;
+  BandwidthMonitor monitor{sim, net, a, Direction::kTx, cfg};
+  sim.run_until(TimePoint::origin() + 2500_ms);
+  ASSERT_EQ(monitor.samples_taken(), 2u);
+  const std::uint64_t fired = sim.events_fired();
+  monitor.stop();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.events_fired(), fired + 1);
+  EXPECT_EQ(monitor.samples_taken(), 2u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 3.0);
+}
+
+// The queued tick captures the monitor, so destroying a running monitor
+// withdraws it; the rest of the queue is untouched.
+TEST(BandwidthMonitor, DestroyedRunningMonitorWithdrawsItsTick) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, plain_model()};
+  const NodeId a = net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  BandwidthMonitorConfig cfg;
+  cfg.sample_period = 1_s;
+  auto monitor = std::make_unique<BandwidthMonitor>(sim, net, a, Direction::kTx, cfg);
+  bool later_fired = false;
+  sim.schedule_at(TimePoint::origin() + 10_s, [&] { later_fired = true; });
+  sim.run_until(TimePoint::origin() + 2500_ms);
+  ASSERT_EQ(monitor->samples_taken(), 2u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  monitor.reset();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(later_fired);
+  EXPECT_TRUE(sim.empty());
 }
 
 }  // namespace

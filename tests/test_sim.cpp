@@ -109,27 +109,6 @@ TEST(Simulator, StepFiresExactlyOne) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, PeriodicFiresUntilCancelled) {
-  Simulator sim;
-  std::vector<double> times;
-  EventHandle handle = sim.schedule_periodic(10_ms, [&](TimePoint now) {
-    times.push_back(now.to_millis());
-    if (times.size() == 3) handle.cancel();
-  });
-  sim.run();
-  EXPECT_EQ(times, (std::vector<double>{10.0, 20.0, 30.0}));
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(Simulator, PeriodicCancelFromOutside) {
-  Simulator sim;
-  int ticks = 0;
-  EventHandle periodic = sim.schedule_periodic(5_ms, [&](TimePoint) { ++ticks; });
-  sim.schedule_after(17_ms, [&] { periodic.cancel(); });
-  sim.run();
-  EXPECT_EQ(ticks, 3);  // 5, 10, 15
-}
-
 TEST(Simulator, CountsLiveEvents) {
   Simulator sim;
   auto h1 = sim.schedule_after(1_ms, [] {});
@@ -141,117 +120,6 @@ TEST(Simulator, CountsLiveEvents) {
   sim.run();
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.events_fired(), 1u);
-}
-
-TEST(SimulatorLanes, FiresAtAimedTime) {
-  Simulator sim;
-  std::vector<double> fired_at;
-  const LaneId lane = sim.lane_create([&] { fired_at.push_back(sim.now().to_millis()); });
-  EXPECT_EQ(sim.lane_count(), 1u);
-  EXPECT_FALSE(sim.lane_armed(lane));
-  sim.lane_aim(lane, TimePoint::origin() + 7_ms);
-  EXPECT_TRUE(sim.lane_armed(lane));
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run();
-  EXPECT_EQ(fired_at, (std::vector<double>{7.0}));
-  EXPECT_FALSE(sim.lane_armed(lane));
-  EXPECT_TRUE(sim.empty());
-  sim.lane_destroy(lane);
-  EXPECT_EQ(sim.lane_count(), 0u);
-}
-
-TEST(SimulatorLanes, ReaimSupersedesEarlierAim) {
-  // A lane holds ONE live aim: re-aiming abandons the stale heap record
-  // (lazy deletion by sequence number), so the callback runs exactly once,
-  // at the latest target — even when the new aim is earlier than the old.
-  Simulator sim;
-  int fires = 0;
-  const LaneId lane = sim.lane_create([&] {
-    ++fires;
-    EXPECT_DOUBLE_EQ(sim.now().to_millis(), 5.0);
-  });
-  sim.lane_aim(lane, TimePoint::origin() + 20_ms);
-  sim.lane_aim(lane, TimePoint::origin() + 5_ms);
-  sim.run();
-  EXPECT_EQ(fires, 1);
-  sim.lane_destroy(lane);
-}
-
-TEST(SimulatorLanes, DisarmPreventsFiring) {
-  Simulator sim;
-  bool fired = false;
-  const LaneId lane = sim.lane_create([&] { fired = true; });
-  sim.lane_aim(lane, TimePoint::origin() + 3_ms);
-  sim.lane_disarm(lane);
-  EXPECT_FALSE(sim.lane_armed(lane));
-  EXPECT_TRUE(sim.empty());
-  sim.run();
-  EXPECT_FALSE(fired);
-  sim.lane_destroy(lane);
-}
-
-TEST(SimulatorLanes, CallbackMayReaimItself) {
-  Simulator sim;
-  std::vector<double> ticks;
-  LaneId lane = kNoLane;
-  lane = sim.lane_create([&] {
-    ticks.push_back(sim.now().to_millis());
-    if (ticks.size() < 3) sim.lane_aim(lane, sim.now() + 10_ms);
-  });
-  sim.lane_aim(lane, TimePoint::origin() + 10_ms);
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<double>{10.0, 20.0, 30.0}));
-  sim.lane_destroy(lane);
-}
-
-TEST(SimulatorLanes, CallbackMayDestroyItsOwnLane) {
-  // The dispatcher moves the callback out before invoking it, so a lane
-  // tearing itself down mid-fire (a rate group dissolving on its final
-  // completion) must not touch freed state.
-  Simulator sim;
-  LaneId lane = kNoLane;
-  bool fired = false;
-  lane = sim.lane_create([&] {
-    fired = true;
-    sim.lane_destroy(lane);
-  });
-  sim.lane_aim(lane, TimePoint::origin() + 1_ms);
-  sim.run();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(sim.lane_count(), 0u);
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(SimulatorLanes, DestroyedArmedLaneNeverFires) {
-  Simulator sim;
-  bool fired = false;
-  const LaneId lane = sim.lane_create([&] { fired = true; });
-  sim.lane_aim(lane, TimePoint::origin() + 4_ms);
-  sim.lane_destroy(lane);
-  sim.schedule_after(10_ms, [] {});  // keep the loop busy past the stale aim
-  sim.run();
-  EXPECT_FALSE(fired);
-  // A fresh lane reusing the freed id must not inherit the stale record.
-  bool reused_fired = false;
-  const LaneId again = sim.lane_create([&] { reused_fired = true; });
-  EXPECT_EQ(again, lane);
-  sim.lane_aim(again, sim.now() + 2_ms);
-  sim.run();
-  EXPECT_TRUE(reused_fired);
-  sim.lane_destroy(again);
-}
-
-TEST(SimulatorLanes, InterleavesWithPoolEventsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  const LaneId lane = sim.lane_create([&] { order.push_back(2); });
-  sim.schedule_after(10_ms, [&] { order.push_back(1); });
-  sim.schedule_after(30_ms, [&] { order.push_back(3); });
-  sim.lane_aim(lane, TimePoint::origin() + 20_ms);
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.events_fired(), 3u);  // lane fires count like pool events
-  sim.lane_destroy(lane);
 }
 
 // --- end-of-instant hooks ---------------------------------------------------

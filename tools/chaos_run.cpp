@@ -22,10 +22,12 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cluster/multi_job.hpp"
+#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "dnn/model_zoo.hpp"
@@ -341,11 +343,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_run: %s\n", error.c_str());
     return 2;
   }
-  const auto seeds = static_cast<std::size_t>(flags->get("seeds", std::int64_t{20}));
-  const auto iterations =
-      static_cast<std::size_t>(flags->get("iterations", std::int64_t{14}));
-  const auto threads =
-      static_cast<unsigned>(flags->get("threads", std::int64_t{0}));
+  const std::size_t seeds = flags->get_count("seeds", 20);
+  const std::size_t iterations = flags->get_count("iterations", 14);
+  const std::size_t threads = flags->get_count("threads", 0);
+  PROPHET_CHECK_MSG(threads <= std::numeric_limits<unsigned>::max(),
+                    "--threads is too large");
   const bool verbose = flags->get("verbose", false);
-  return prophet::run_chaos(seeds, iterations, threads, verbose);
+  return prophet::run_chaos(seeds, iterations, static_cast<unsigned>(threads), verbose);
 }

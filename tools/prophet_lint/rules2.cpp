@@ -147,8 +147,8 @@ void check_handle_lifetime(const SourceFile& f, const TokenizedFile& tf,
 
   static const std::set<std::string> kNarrowTypes = {
       "uint32_t", "int32_t", "uint16_t", "int16_t", "int", "unsigned", "short"};
-  static const std::set<std::string> kPoolFactories = {
-      "start_flow", "schedule_at", "schedule_after", "schedule_periodic"};
+  static const std::set<std::string> kPoolFactories = {"start_flow", "schedule_at",
+                                                       "schedule_after"};
 
   // name -> pool object it was produced from ("" unknown): `x = net.start_flow(`.
   std::map<std::string, std::string> provenance;
