@@ -63,8 +63,7 @@ double now_ms() {
 // 10 Gbps PS NIC — the incast regime where every arrival used to trigger a
 // whole-network refill.
 ps::ClusterConfig star_config(std::size_t workers, std::size_t iterations,
-                              std::uint64_t seed, net::RebalanceMode mode,
-                              Duration horizon = Duration::seconds(3600)) {
+                              std::uint64_t seed, net::RebalanceMode mode) {
   ps::ClusterConfig cfg;
   cfg.model = dnn::toy_cnn();
   cfg.num_workers = workers;
@@ -75,7 +74,7 @@ ps::ClusterConfig star_config(std::size_t workers, std::size_t iterations,
   cfg.ps_bandwidth = Bandwidth::gbps(10);
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.rate_rebalance = mode;
-  cfg.metrics_horizon = horizon;
+  cfg.metrics_horizon = Duration::seconds(3600);
   return cfg;
 }
 
@@ -132,9 +131,8 @@ struct Cell {
 };
 
 RunStats run_star(std::size_t workers, std::size_t iterations,
-                  net::RebalanceMode mode,
-                  Duration horizon = Duration::seconds(3600)) {
-  const auto cfg = star_config(workers, iterations, 42, mode, horizon);
+                  net::RebalanceMode mode) {
+  const auto cfg = star_config(workers, iterations, 42, mode);
   const double t0 = now_ms();
   const auto result = ps::run_cluster(cfg, 1);
   RunStats stats;
@@ -242,11 +240,9 @@ int main(int argc, char** argv) {
                        /*incremental_only=*/true, [&](net::RebalanceMode m) {
                          return run_star(4096, 3, m);
                        }});
-      // A 60 s metrics horizon (the run simulates ~6 s): at 3600 s the
-      // per-worker 250 ms series and their result copies would take ~11 GiB.
       cells.push_back({"star_16384", 16384,
                        /*incremental_only=*/true, [&](net::RebalanceMode m) {
-                         return run_star(16384, 3, m, Duration::seconds(60));
+                         return run_star(16384, 3, m);
                        }});
     }
   }

@@ -89,10 +89,10 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   result.events_fired = sim.events_fired();
   result.rebalance = network.rebalance_stats();
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    const Worker& worker = *workers[w];
+    Worker& worker = *workers[w];
     result.workers.push_back(ps::WorkerResult::measure(
         w, first, cfg.iterations, worker.current_iteration(),
-        worker.training_metrics(), worker.gpu(), untracked, untracked));
+        worker.take_training_metrics(), worker.take_gpu(), untracked, untracked));
   }
   return result;
 }

@@ -4,6 +4,7 @@
 // pulls.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "allreduce/coordinator.hpp"
@@ -30,10 +31,11 @@ class Worker {
 
   [[nodiscard]] bool done() const { return iter_ >= iterations_; }
   [[nodiscard]] std::size_t current_iteration() const { return iter_; }
-  [[nodiscard]] const metrics::TrainingMetrics& training_metrics() const {
-    return training_;
+  // Moved out once, after training, into the worker's WorkerResult.
+  [[nodiscard]] metrics::TrainingMetrics take_training_metrics() {
+    return std::move(training_);
   }
-  [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
+  [[nodiscard]] metrics::GpuTracker take_gpu() { return std::move(gpu_); }
 
  private:
   void begin_iteration();

@@ -79,7 +79,13 @@ std::size_t Flags::get_count(const std::string& name, std::size_t fallback) cons
 bool Flags::get(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  const bool yes = text == "true" || text == "1" || text == "yes";
+  const bool no = text == "false" || text == "0" || text == "no";
+  PROPHET_CHECK_MSG(yes || no, ("--" + name + " '" + text +
+                                "' is not a boolean (true/1/yes or false/0/no)")
+                                   .c_str());
+  return yes;
 }
 
 std::vector<std::string> Flags::names() const {

@@ -2,7 +2,9 @@
 // `--name value` and `--name=value` forms and typed accessors with defaults.
 // No global state. A numeric accessor aborts, naming the flag, when the
 // value does not parse whole: `--workers 3x` or `--workers` with no value
-// never reads as some number.
+// never reads as some number. The boolean accessor likewise accepts only
+// true/1/yes and false/0/no (a bare `--name` reads as true), so `--asp=on`
+// aborts instead of reading as false.
 #pragma once
 
 #include <cstddef>

@@ -26,10 +26,12 @@ class GpuTracker {
   [[nodiscard]] Duration total_busy() const { return total_busy_; }
   // Busy fraction over [from, to].
   [[nodiscard]] double utilization(TimePoint from, TimePoint to) const;
-  [[nodiscard]] const BinnedSeries& series() const { return series_; }
-  // Raw busy intervals in chronological order (trace export).
-  [[nodiscard]] const std::vector<std::pair<TimePoint, TimePoint>>& intervals() const {
-    return intervals_;
+  // The utilization-over-time series and the raw busy intervals in
+  // chronological order (trace export), moved out for a result that takes
+  // ownership; the tracker holds neither afterwards.
+  [[nodiscard]] BinnedSeries take_series() { return std::move(series_); }
+  [[nodiscard]] std::vector<std::pair<TimePoint, TimePoint>> take_intervals() {
+    return std::move(intervals_);
   }
 
  private:

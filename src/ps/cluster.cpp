@@ -1,6 +1,7 @@
 #include "ps/cluster.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
@@ -12,22 +13,24 @@ namespace prophet::ps {
 
 WorkerResult WorkerResult::measure(std::size_t id, std::size_t first, std::size_t last,
                                    std::size_t iterations_completed,
-                                   const metrics::TrainingMetrics& training,
-                                   const metrics::GpuTracker& gpu, const BinnedSeries& tx,
-                                   const BinnedSeries& rx) {
+                                   metrics::TrainingMetrics training,
+                                   metrics::GpuTracker gpu, BinnedSeries tx,
+                                   BinnedSeries rx) {
+  const double rate = training.rate_samples_per_sec(first, last);
+  const double utilization =
+      gpu.utilization(training.iteration_start(first), training.iteration_start(last));
   return {.id = id,
-          .rate_samples_per_sec = training.rate_samples_per_sec(first, last),
-          .gpu_utilization = gpu.utilization(training.iteration_start(first),
-                                             training.iteration_start(last)),
+          .rate_samples_per_sec = rate,
+          .gpu_utilization = utilization,
           .iterations_completed = iterations_completed,
           .prophet_activated_at = {},
           .prophet_replans = 0,
-          .training = training,
+          .training = std::move(training),
           .transfers = {},
-          .gpu_series = gpu.series(),
-          .gpu_intervals = gpu.intervals(),
-          .tx_series = tx,
-          .rx_series = rx};
+          .gpu_series = gpu.take_series(),
+          .gpu_intervals = gpu.take_intervals(),
+          .tx_series = std::move(tx),
+          .rx_series = std::move(rx)};
 }
 
 double ClusterResult::mean_rate() const {

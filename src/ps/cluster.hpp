@@ -37,12 +37,12 @@ struct WorkerResult {
   BinnedSeries rx_series;
 
   // A worker's series, with its headline numbers taken over the window
-  // [first, last); the PS driver adds its Prophet and transfer-log fields.
+  // [first, last); the result takes ownership of what it is handed. The PS
+  // driver adds its Prophet and transfer-log fields.
   static WorkerResult measure(std::size_t id, std::size_t first, std::size_t last,
                               std::size_t iterations_completed,
-                              const metrics::TrainingMetrics& training,
-                              const metrics::GpuTracker& gpu, const BinnedSeries& tx,
-                              const BinnedSeries& rx);
+                              metrics::TrainingMetrics training, metrics::GpuTracker gpu,
+                              BinnedSeries tx, BinnedSeries rx);
 };
 
 struct ClusterResult {

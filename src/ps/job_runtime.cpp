@@ -278,7 +278,9 @@ void JobRuntime::finish_audit() {
 }
 
 ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
-                                  std::uint64_t events_fired) const {
+                                  std::uint64_t events_fired) {
+  PROPHET_CHECK_MSG(!collected_, "JobRuntime::collect: results were already handed over");
+  collected_ = true;
   const ClusterConfig& cfg = config_;
   // Evaluated only without an explicit window: short runs measuring a
   // window of their own need not clear the warmup.
@@ -294,13 +296,13 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
   result.audit_checks = auditor_ != nullptr ? auditor_->checks_run() : 0;
   result.rebalance = network_.rebalance_stats();
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    const Worker& worker = *workers_[w];
+    Worker& worker = *workers_[w];
     WorkerResult wr = WorkerResult::measure(
-        w, first, last, worker.current_iteration(), worker.training_metrics(),
-        worker.gpu(), tx_series_[w], rx_series_[w]);
+        w, first, last, worker.current_iteration(), worker.take_training_metrics(),
+        worker.take_gpu(), std::move(tx_series_[w]), std::move(rx_series_[w]));
     wr.prophet_activated_at = worker.prophet_activated_at();
     wr.prophet_replans = worker.prophet_replans();
-    wr.transfers = worker.transfers();
+    wr.transfers = worker.take_transfers();
     result.workers.push_back(std::move(wr));
   }
   return result;

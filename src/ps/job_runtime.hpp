@@ -8,7 +8,9 @@
 //                    each job, step the shared simulator, finalize each job
 //                    the instant done() turns true (recover_crashed,
 //                    disarm_faults, finish_training), drain, finish_audit;
-//   collect(...)   — per-worker results over the measurement window.
+//   collect(...)   — per-worker results over the measurement window; moves
+//                    each worker's series and logs into the result, so it
+//                    may be called once.
 //
 // ps::run_cluster is one job with default JobOptions on the config's own
 // fabric; cluster::run_multi_job is placement plus interleave plus the same
@@ -100,9 +102,11 @@ class JobRuntime {
 
   // Gathers per-worker results over [measure_first, iterations), defaulting
   // to default_measure_first(config()). `events_fired` is the
-  // simulator-wide count (jobs sharing a loop share it).
+  // simulator-wide count (jobs sharing a loop share it). The result takes
+  // ownership of every worker's GPU and tx/rx series, GPU intervals and
+  // transfer log instead of copying them; a second call aborts.
   [[nodiscard]] ClusterResult collect(std::optional<std::size_t> measure_first,
-                                      std::uint64_t events_fired) const;
+                                      std::uint64_t events_fired);
 
  private:
   void apply_event(const net::DynamicsEvent& ev);
@@ -125,6 +129,7 @@ class JobRuntime {
   // so repeated scale events never compound.
   std::map<net::LinkId, Bandwidth> link_base_caps_;
   bool faults_live_ = true;
+  bool collected_ = false;
   Duration training_span_{};
 };
 

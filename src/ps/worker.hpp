@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "audit/bsp_auditor.hpp"
@@ -120,11 +121,12 @@ class Worker {
   [[nodiscard]] std::size_t current_iteration() const { return iter_; }
 
   // --- results ------------------------------------------------------------
-  [[nodiscard]] const metrics::TrainingMetrics& training_metrics() const {
-    return training_;
+  // Moved out once, after training, into the worker's WorkerResult.
+  [[nodiscard]] metrics::TrainingMetrics take_training_metrics() {
+    return std::move(training_);
   }
-  [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
-  [[nodiscard]] const metrics::TransferLog& transfers() const { return transfer_log_; }
+  [[nodiscard]] metrics::GpuTracker take_gpu() { return std::move(gpu_); }
+  [[nodiscard]] metrics::TransferLog take_transfers() { return std::move(transfer_log_); }
   [[nodiscard]] const net::BandwidthMonitor& uplink_monitor() const { return *tx_monitor_; }
   // Iteration at which Prophet's profile became active (nullopt: not Prophet
   // or still profiling).

@@ -3,7 +3,14 @@
 // the engine-level invariants the modules promise each other.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "net/flow_network.hpp"
+#include "net/topology.hpp"
 #include "ps/cluster.hpp"
+#include "ps/job_runtime.hpp"
+#include "sim/simulator.hpp"
 
 namespace prophet::ps {
 namespace {
@@ -195,6 +202,74 @@ TEST(ClusterIntegration, ThroughputSeriesAccountsAllTrafficOfWorker) {
     // 12 iterations of pushes (plus nothing else on the uplink).
     EXPECT_NEAR(tx_total, per_iter * 12, per_iter * 0.01);
   }
+}
+
+ClusterConfig star_config(std::size_t workers) {
+  ClusterConfig cfg;
+  cfg.model = dnn::toy_cnn();
+  cfg.num_workers = workers;
+  cfg.batch = 32;
+  cfg.iterations = 3;
+  cfg.seed = 42;
+  cfg.worker_bandwidth = Bandwidth::gbps(1);
+  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.strategy = StrategyConfig::fifo();
+  return cfg;
+}
+
+// Series store only the bins written, so the horizon bounds where metrics may
+// land, not what a run costs or computes: a 10^7 s horizon (4e7 logical
+// 250 ms bins per series) replays the default-horizon run exactly.
+TEST(ClusterIntegration, MetricsHorizonDoesNotChangeTheRun) {
+  ClusterConfig cfg = star_config(64);
+  const auto base = run_cluster(cfg, 1);
+  cfg.metrics_horizon = Duration::seconds(10'000'000);
+  const auto wide = run_cluster(cfg, 1);
+
+  EXPECT_EQ(base.events_fired, wide.events_fired);
+  EXPECT_EQ(base.simulated_time, wide.simulated_time);
+  EXPECT_EQ(base.link_bytes, wide.link_bytes);
+  ASSERT_EQ(base.workers.size(), wide.workers.size());
+  const std::size_t base_bins = base.workers.front().tx_series.bin_count();
+  EXPECT_EQ(wide.workers.front().tx_series.bin_count(), 40'000'000u);
+  for (std::size_t w = 0; w < base.workers.size(); ++w) {
+    const WorkerResult& a = base.workers[w];
+    const WorkerResult& b = wide.workers[w];
+    EXPECT_EQ(a.rate_samples_per_sec, b.rate_samples_per_sec) << w;
+    EXPECT_EQ(a.gpu_utilization, b.gpu_utilization) << w;
+    // Results stay populated by default.
+    EXPECT_FALSE(b.transfers.records().empty()) << w;
+    EXPECT_FALSE(b.gpu_intervals.empty()) << w;
+    double tx_a = 0.0, tx_b = 0.0, rx_a = 0.0, rx_b = 0.0;
+    for (std::size_t i = 0; i < base_bins; ++i) {
+      tx_a += a.tx_series.bin_amount(i);
+      tx_b += b.tx_series.bin_amount(i);
+      rx_a += a.rx_series.bin_amount(i);
+      rx_b += b.rx_series.bin_amount(i);
+    }
+    EXPECT_GT(tx_a, 0.0) << w;
+    EXPECT_GT(rx_a, 0.0) << w;
+    EXPECT_EQ(tx_a, tx_b) << w;
+    EXPECT_EQ(rx_a, rx_b) << w;
+    EXPECT_EQ(b.tx_series.bin_amount(b.tx_series.bin_count() - 1), 0.0) << w;
+  }
+}
+
+TEST(ClusterIntegrationDeathTest, SecondCollectAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ClusterConfig cfg = star_config(4);
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}, cfg.rate_rebalance};
+  net::BuiltTopology topology{network, cfg.resolved_topology()};
+  std::vector<std::unique_ptr<JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg));
+  run_jobs(sim, jobs, TimePoint::origin() + cfg.metrics_horizon);
+  const ClusterResult result = jobs.front()->collect(1, sim.events_fired());
+  ASSERT_EQ(result.workers.size(), 4u);
+  EXPECT_FALSE(result.workers.front().transfers.records().empty());
+  // The first call moved every series and log into `result`.
+  EXPECT_DEATH((void)jobs.front()->collect(1, sim.events_fired()),
+               "results were already handed over");
 }
 
 }  // namespace

@@ -108,6 +108,32 @@ TEST(FlagsDeathTest, DoubleWithTrailingCharactersAborts) {
   EXPECT_DEATH((void)f.get("gbps", 0.0), "--gbps '2.5Gb' is not a number");
 }
 
+TEST(Flags, BooleanSpellings) {
+  // The bare `--smoke --out PATH` form the bench smoke tests use reads true.
+  const Flags f = parse({"--smoke", "--out", "x.json", "--a=1", "--b=yes", "--c=false",
+                         "--d=0", "--e=no"});
+  EXPECT_TRUE(f.get("smoke", false));
+  EXPECT_TRUE(f.get("a", false));
+  EXPECT_TRUE(f.get("b", false));
+  EXPECT_FALSE(f.get("c", true));
+  EXPECT_FALSE(f.get("d", true));
+  EXPECT_FALSE(f.get("e", true));
+}
+
+TEST(FlagsDeathTest, UnknownBooleanSpellingAborts) {
+  // `--asp=on` once read as false and silently ran BSP.
+  const Flags f = parse({"--asp=on", "--verbose=True", "--big="});
+  EXPECT_DEATH((void)f.get("asp", false), "--asp 'on' is not a boolean");
+  EXPECT_DEATH((void)f.get("verbose", false), "--verbose 'True' is not a boolean");
+  EXPECT_DEATH((void)f.get("big", true), "--big '' is not a boolean");
+}
+
+TEST(FlagsDeathTest, BooleanFlagSwallowingAValueAborts) {
+  // `--asp 4` takes "4" as the flag's value; it must not read as false.
+  const Flags f = parse({"--asp", "4"});
+  EXPECT_DEATH((void)f.get("asp", false), "--asp '4' is not a boolean");
+}
+
 TEST(FlagsDeathTest, NegativeCountAborts) {
   // What run_experiment reads --workers, --iterations, --jobs, ... through:
   // -1 must not wrap to 2^64 - 1 workers.

@@ -78,6 +78,49 @@ TEST(BinnedSeries, MeanRateOverWindow) {
   EXPECT_DOUBLE_EQ(s.mean_rate(5, 5), 0.0);
 }
 
+TEST(BinnedSeries, UnwrittenBinsReadZeroUpToLogicalCount) {
+  BinnedSeries s{100_ms, 1_s};
+  s.add_amount(TimePoint::origin() + 150_ms, 4.0);
+  EXPECT_EQ(s.bin_count(), 10u);
+  for (std::size_t i = 0; i < s.bin_count(); ++i) {
+    EXPECT_DOUBLE_EQ(s.bin_amount(i), i == 1 ? 4.0 : 0.0) << i;
+  }
+  // The mean still averages over every logical bin, unwritten ones as 0.
+  EXPECT_DOUBLE_EQ(s.mean_rate(), 4.0);
+  EXPECT_DOUBLE_EQ(s.mean_rate(2, 10), 0.0);
+}
+
+TEST(BinnedSeries, WritesPastHorizonAreDroppedByEveryWriter) {
+  BinnedSeries s{100_ms, 1_s};
+  s.add_amount(TimePoint::origin() + 1_s, 1.0);
+  // Only the 50 ms inside the horizon land, in the last bin.
+  s.add_interval(TimePoint::origin() + 950_ms, TimePoint::origin() + 3_s);
+  s.add_amount_spread(TimePoint::origin() + 900_ms, TimePoint::origin() + 1100_ms, 200.0);
+  EXPECT_NEAR(s.bin_amount(9), 0.050 + 100.0, 1e-9);
+  for (std::size_t i = 0; i < 9; ++i) EXPECT_DOUBLE_EQ(s.bin_amount(i), 0.0) << i;
+  EXPECT_EQ(s.bin_count(), 10u);
+}
+
+TEST(BinnedSeries, HugeLogicalHorizonRecordsNearOrigin) {
+  // 3.6e12 logical bins: eager storage (29 TB of doubles) could not exist.
+  BinnedSeries s{1_ns, 3600_s};
+  EXPECT_EQ(s.bin_count(), 3'600'000'000'000u);
+  s.add_amount(TimePoint::origin() + 5_ns, 2.0);
+  s.add_interval(TimePoint::origin(), TimePoint::origin() + 3_ns);
+  EXPECT_DOUBLE_EQ(s.bin_amount(5), 2.0);
+  EXPECT_DOUBLE_EQ(s.bin_amount(1), 1e-9);
+  EXPECT_DOUBLE_EQ(s.bin_amount(4), 0.0);
+  EXPECT_DOUBLE_EQ(s.bin_amount(s.bin_count() - 1), 0.0);
+  EXPECT_EQ(s.bin_start(s.bin_count() - 1), TimePoint::origin() + 3600_s - 1_ns);
+}
+
+TEST(BinnedSeriesDeathTest, ReadPastLogicalCountAborts) {
+  BinnedSeries s{100_ms, 1_s};
+  s.add_amount(TimePoint::origin(), 1.0);
+  EXPECT_DEATH((void)s.bin_amount(10), "");
+  EXPECT_DEATH((void)s.mean_rate(0, 11), "");
+}
+
 TEST(BinnedSeries, BinStart) {
   BinnedSeries s{250_ms, 1_s};
   EXPECT_EQ(s.bin_start(0), TimePoint::origin());
