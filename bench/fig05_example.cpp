@@ -20,6 +20,7 @@ namespace {
 
 using sched::CommScheduler;
 using sched::TaskKind;
+using sched::TransferTask;
 
 struct Arrival {
   Duration at;
@@ -42,6 +43,7 @@ std::vector<GanttRow> drive(CommScheduler& scheduler, std::vector<Arrival> arriv
   TimePoint now = TimePoint::origin();
   TimePoint nic_free = now;
   std::size_t next_arrival = 0;
+  TransferTask task;
   scheduler.on_iteration_start(0, now);
   for (;;) {
     // Deliver everything generated up to `now`.
@@ -54,15 +56,14 @@ std::vector<GanttRow> drive(CommScheduler& scheduler, std::vector<Arrival> arriv
       now = nic_free;
       continue;
     }
-    auto task = scheduler.next_task(now);
-    if (!task.has_value()) {
+    if (!scheduler.next_task(now, task)) {
       if (next_arrival == arrivals.size()) break;  // drained
       now = TimePoint::origin() + arrivals[next_arrival].at;  // idle until next event
       continue;
     }
-    const Duration dur = cost.duration(task->total_bytes(), bandwidth);
+    const Duration dur = cost.duration(task.total_bytes(), bandwidth);
     std::string what;
-    for (const auto& item : task->items) {
+    for (const auto& item : task.items) {
       if (!what.empty()) what += " + ";
       what += "g" + std::to_string(item.grad);
       if (item.bytes < Bytes::mib(3) && item.offset > Bytes::zero()) {
@@ -75,9 +76,9 @@ std::vector<GanttRow> drive(CommScheduler& scheduler, std::vector<Arrival> arriv
     }
     rows.push_back(GanttRow{now - TimePoint::origin(),
                             now + dur - TimePoint::origin(), what,
-                            task->priority()});
-    scheduler.on_task_done(*task, now, now + dur);
-    nic_free = now + dur + task->post_delay;
+                            task.priority()});
+    scheduler.on_task_done(task, now, now + dur);
+    nic_free = now + dur + task.post_delay;
     now = nic_free;
   }
   return rows;

@@ -1,6 +1,7 @@
 #include "allreduce/coordinator.hpp"
 
 #include "common/check.hpp"
+#include "common/inline_closure.hpp"
 
 namespace prophet::ar {
 
@@ -50,23 +51,26 @@ std::size_t Coordinator::reductions_completed(std::size_t key) const {
 
 void Coordinator::pump() {
   if (ring_.busy()) return;
-  auto task = scheduler_->next_task(sim_.now());
-  if (!task.has_value()) {
+  const std::size_t slot = next_slot_;
+  Collective& collective = collectives_[slot];
+  PROPHET_CHECK_MSG(!collective.live, "collective task buffer still in use");
+  if (!scheduler_->next_task(sim_.now(), collective.task)) {
     if (scheduler_->has_pending() && !poll_.pending()) {
       poll_ = sim_.schedule_after(Duration::millis(1), [this] { pump(); });
     }
     return;
   }
-  PROPHET_CHECK(!task->items.empty());
-  const TimePoint started = sim_.now();
-  const Bytes fused = task->total_bytes();
-  ring_.run(fused, [this, t = std::move(*task), started] {
-    scheduler_->on_task_done(t, started, sim_.now());
-    on_collective_done(t);
-  });
+  collective.started = sim_.now();
+  collective.live = true;
+  next_slot_ = 1 - slot;
+  ring_.run(collective.task.total_bytes(),
+            inline_closure([this, slot] { on_collective_done(slot); }));
 }
 
-void Coordinator::on_collective_done(const sched::TransferTask& task) {
+void Coordinator::on_collective_done(std::size_t slot) {
+  Collective& collective = collectives_[slot];
+  const sched::TransferTask& task = collective.task;
+  scheduler_->on_task_done(task, collective.started, sim_.now());
   for (const auto& item : task.items) {
     KeyState& state = keys_[item.grad];
     state.reduced += item.bytes.count();
@@ -77,6 +81,7 @@ void Coordinator::on_collective_done(const sched::TransferTask& task) {
       for (std::size_t w = 0; w < num_workers_; ++w) on_reduced_(w, item.grad);
     }
   }
+  collective.live = false;
   pump();
 }
 

@@ -9,6 +9,7 @@
 // worker is notified (its next forward pass ungates).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -43,7 +44,7 @@ class Coordinator {
 
  private:
   void pump();
-  void on_collective_done(const sched::TransferTask& task);
+  void on_collective_done(std::size_t slot);
 
   sim::Simulator& sim_;
   std::size_t num_workers_;
@@ -59,6 +60,18 @@ class Coordinator {
   };
   std::vector<KeyState> keys_;
   sim::EventHandle poll_;
+
+  // Task buffers reused across collectives. The ring reports completion one
+  // zero-delay event after it frees up, so a pump in between may start the
+  // next collective while the previous task still awaits its completion
+  // handler: two slots, used alternately.
+  struct Collective {
+    sched::TransferTask task;
+    TimePoint started{};
+    bool live = false;
+  };
+  std::array<Collective, 2> collectives_;
+  std::size_t next_slot_{0};
 };
 
 }  // namespace prophet::ar

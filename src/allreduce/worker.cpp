@@ -27,7 +27,7 @@ void Worker::start() { begin_iteration(); }
 void Worker::begin_iteration() {
   training_.mark_iteration_start(iter_, sim_.now());
   if (done()) return;
-  timing_ = iteration_model_->sample(rng_);
+  iteration_model_->sample(rng_, timing_);
   fwd_layer_ = 0;
   waiting_for_reduction_ = false;
   advance_forward();

@@ -11,6 +11,8 @@
 #include <limits>
 #include <string>
 
+#include "common/check.hpp"
+
 namespace prophet {
 
 class Duration {
@@ -21,8 +23,15 @@ class Duration {
   static constexpr Duration millis(std::int64_t m) { return Duration{m * 1'000'000}; }
   static constexpr Duration seconds(std::int64_t s) { return Duration{s * 1'000'000'000}; }
   // Converts a floating-point second count, rounding to the nearest nanosecond.
+  // Aborts on NaN, infinities and counts beyond the int64 nanosecond range
+  // (about +-292 years), whose conversion would be undefined.
   static constexpr Duration from_seconds(double s) {
-    return Duration{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
+    const double ns = s * 1e9 + (s >= 0 ? 0.5 : -0.5);
+    // 2^63 is exact in a double; NaN fails both comparisons.
+    PROPHET_CHECK_MSG(ns >= -0x1p63 && ns < 0x1p63,
+                      "Duration::from_seconds: seconds must be finite and within "
+                      "the int64 nanosecond range");
+    return Duration{static_cast<std::int64_t>(ns)};
   }
   static constexpr Duration from_millis(double ms) { return from_seconds(ms * 1e-3); }
   static constexpr Duration zero() { return Duration{0}; }

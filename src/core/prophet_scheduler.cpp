@@ -183,26 +183,27 @@ std::optional<TimePoint> ProphetScheduler::next_higher_priority_eta(
   return eta;
 }
 
-std::optional<sched::TransferTask> ProphetScheduler::next_task(TimePoint now) {
-  if (partitions_.empty()) return std::nullopt;
+bool ProphetScheduler::fill_task(TimePoint now, sched::TransferTask& task) {
+  if (partitions_.empty()) return false;
   if (!profile_.has_value()) {
     // Profiling phase: the underlying engine's default behaviour — priority
     // order, fixed credit-sized groups (BytePS without block assembly).
-    sched::TransferTask task;
-    task.kind = kind();
-    task.items = partitions_.pop(kind() == sched::TaskKind::kPush
-                                     ? config_.min_block
-                                     : config_.forward_group_max);
-    return task;
+    partitions_.pop(kind() == sched::TaskKind::kPush ? config_.min_block
+                                                     : config_.forward_group_max,
+                    task.items);
+  } else if (kind() == sched::TaskKind::kPush) {
+    fill_push_task(now, task);
+  } else {
+    // Pull side: no generation pattern to race; ready parameters drain
+    // most-urgent-first in capped groups.
+    partitions_.pop(drain_group_bytes(), task.items);
   }
-  return kind() == sched::TaskKind::kPush ? next_push_task(now) : next_pull_task(now);
+  return true;
 }
 
-std::optional<sched::TransferTask> ProphetScheduler::next_push_task(TimePoint now) {
+void ProphetScheduler::fill_push_task(TimePoint now, sched::TransferTask& task) {
   const auto head = partitions_.peek_bytes();
   PROPHET_CHECK(head.has_value());
-  sched::TransferTask task;
-  task.kind = kind();
 
   // During forward propagation (gradient 0 arrived) there is nothing left to
   // race: drain the leftovers in strict priority order (Constraint (9) /
@@ -212,8 +213,8 @@ std::optional<sched::TransferTask> ProphetScheduler::next_push_task(TimePoint no
   const bool backward_running = arrived_[0] == 0;
   const Bandwidth bandwidth = plan_bandwidth_now();
   if (!backward_running) {
-    task.items = partitions_.pop(drain_group_bytes());
-    return task;
+    partitions_.pop(drain_group_bytes(), task.items);
+    return;
   }
 
   // Backward phase: block assembly under the predicted interval budget —
@@ -246,17 +247,7 @@ std::optional<sched::TransferTask> ProphetScheduler::next_push_task(TimePoint no
     floor = std::max(floor, drain_group_bytes());
   }
   byte_budget = std::max({byte_budget, *head, floor});
-  task.items = partitions_.pop(byte_budget);
-  PROPHET_CHECK(!task.items.empty());
-  return task;
-}
-
-std::optional<sched::TransferTask> ProphetScheduler::next_pull_task(TimePoint) {
-  sched::TransferTask task;
-  task.kind = kind();
-  task.items = partitions_.pop(drain_group_bytes());
-  PROPHET_CHECK(!task.items.empty());
-  return task;
+  partitions_.pop(byte_budget, task.items);
 }
 
 void ProphetScheduler::on_task_done(const sched::TransferTask&, TimePoint, TimePoint) {}

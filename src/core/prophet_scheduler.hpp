@@ -101,7 +101,6 @@ class ProphetScheduler final : public sched::CommScheduler {
                    ProphetConfig config = {});
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<sched::TransferTask> next_task(TimePoint now) override;
   void on_task_done(const sched::TransferTask& task, TimePoint started,
                     TimePoint finished) override;
   void on_iteration_start(std::size_t iteration, TimePoint now) override;
@@ -134,8 +133,8 @@ class ProphetScheduler final : public sched::CommScheduler {
   // the monitored-instability signal, clamped to
   // [partition_bytes, forward_group_max].
   [[nodiscard]] Bytes drain_group_bytes() const;
-  std::optional<sched::TransferTask> next_push_task(TimePoint now);
-  std::optional<sched::TransferTask> next_pull_task(TimePoint now);
+  bool fill_task(TimePoint now, sched::TransferTask& task) override;
+  void fill_push_task(TimePoint now, sched::TransferTask& task);
   // Predicted generation time of the next gradient more urgent than `grad`
   // that has not been enqueued yet this iteration; nullopt if none pending.
   [[nodiscard]] std::optional<TimePoint> next_higher_priority_eta(std::size_t grad) const;

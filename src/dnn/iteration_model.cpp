@@ -27,14 +27,17 @@ IterationModel::IterationModel(const ModelSpec& model, GpuSpec gpu, int batch,
   PROPHET_CHECK(kv_.copy_bandwidth > 0.0);
 }
 
-IterationTiming IterationModel::nominal() const { return generate(nullptr); }
+IterationTiming IterationModel::nominal() const {
+  IterationTiming out;
+  generate(nullptr, out);
+  return out;
+}
 
-IterationTiming IterationModel::sample(Rng& rng) const { return generate(&rng); }
+void IterationModel::sample(Rng& rng, IterationTiming& out) const { generate(&rng, out); }
 
-IterationTiming IterationModel::generate(Rng* rng) const {
+void IterationModel::generate(Rng* rng, IterationTiming& out) const {
   const auto& tensors = model_.tensors();
   const std::size_t n = tensors.size();
-  IterationTiming out;
   out.fwd.resize(n);
   out.bwd.resize(n);
   out.ready_offset.assign(n, Duration::zero());
@@ -51,24 +54,26 @@ IterationTiming IterationModel::generate(Rng* rng) const {
   // Backward walk: highest index first. Gradients enter the KVStore buffer
   // as their layer's backward kernel finishes; the buffer flushes at stage
   // boundaries / byte thresholds, releasing every buffered gradient at the
-  // flush completion instant (the stepwise pattern).
+  // flush completion instant (the stepwise pattern). The buffer always holds
+  // the contiguous index range [lo, hi).
   Duration clock{};
-  std::vector<std::size_t> buffered;
+  std::size_t lo = n;
+  std::size_t hi = n;
   Bytes buffered_bytes{};
   auto flush = [&]() {
-    if (buffered.empty()) return;
+    if (lo == hi) return;
     const Duration copy = Duration::from_seconds(
         static_cast<double>(buffered_bytes.count()) / kv_.copy_bandwidth);
     const Duration ready = clock + kv_.flush_fixed + copy;
-    for (std::size_t idx : buffered) out.ready_offset[idx] = ready;
-    buffered.clear();
+    for (std::size_t idx = lo; idx < hi; ++idx) out.ready_offset[idx] = ready;
+    hi = lo;
     buffered_bytes = Bytes::zero();
   };
 
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t i = n - 1 - step;
     clock += out.bwd[i];
-    buffered.push_back(i);
+    lo = i;
     buffered_bytes += tensors[i].bytes;
     const bool stage_edge =
         kv_.flush_on_stage_boundary &&
@@ -76,7 +81,6 @@ IterationTiming IterationModel::generate(Rng* rng) const {
     if (stage_edge || buffered_bytes >= kv_.flush_threshold) flush();
   }
   flush();
-  return out;
 }
 
 }  // namespace prophet::dnn

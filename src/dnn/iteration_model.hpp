@@ -36,8 +36,9 @@ struct IterationTiming {
   // T_bp^(i): backward compute time attributed to tensor i's layer.
   std::vector<Duration> bwd;
   // c^(i): offset from backward-propagation start at which gradient i is
-  // ready for transfer (post-aggregation). Monotone non-increasing in i and
-  // stepwise: all members of one flush group share a ready time.
+  // ready for transfer (post-aggregation). Stepwise: a flush group is a
+  // contiguous index range whose members share a ready time. Not monotone in
+  // i: a large flush's copy can land after the next, smaller flush's.
   std::vector<Duration> ready_offset;
 
   [[nodiscard]] Duration forward_total() const;
@@ -56,11 +57,13 @@ class IterationModel {
 
   // Noise-free timing (profiler ground truth, offline planners).
   [[nodiscard]] IterationTiming nominal() const;
-  // One jittered iteration; consumes draws from `rng`.
-  [[nodiscard]] IterationTiming sample(Rng& rng) const;
+  // One jittered iteration, written into `out`; consumes draws from `rng`.
+  // The storage of `out` is reused, so a per-iteration resample allocates
+  // nothing once warm.
+  void sample(Rng& rng, IterationTiming& out) const;
 
  private:
-  IterationTiming generate(Rng* rng) const;
+  void generate(Rng* rng, IterationTiming& out) const;
 
   ModelSpec model_;
   GpuSpec gpu_;

@@ -1,6 +1,7 @@
 #include "net/dynamics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -27,10 +28,17 @@ bool parse_double(const std::string& s, double* out) {
   try {
     std::size_t pos = 0;
     *out = std::stod(s, &pos);
-    return pos == s.size();
+    // "inf" and "nan" parse, but no spec field has a meaning for them.
+    return pos == s.size() && std::isfinite(*out);
   } catch (...) {
     return false;
   }
+}
+
+// A time in seconds: a finite number the simulator's int64-nanosecond clock
+// can hold (about +-292 years).
+bool parse_seconds(const std::string& s, double* out) {
+  return parse_double(s, out) && std::abs(*out) < Duration::max().to_seconds();
 }
 
 bool parse_index(const std::string& s, std::size_t* out) {
@@ -272,7 +280,7 @@ std::optional<DynamicsPlan> DynamicsPlan::from_trace_csv(const std::string& path
       return std::nullopt;
     }
     double time_s = 0.0;
-    if (!parse_double(fields[0], &time_s) || time_s < 0.0) {
+    if (!parse_seconds(fields[0], &time_s) || time_s < 0.0) {
       set_error(error, where + ": bad time '" + fields[0] + "'");
       return std::nullopt;
     }
@@ -363,7 +371,7 @@ std::optional<DynamicsPlan> DynamicsPlan::from_spec(const std::string& spec,
     double period_s = 2.0;
     if (fields.size() < 2 || fields.size() > 3 ||
         !parse_double(fields[1], &amplitude) ||
-        (fields.size() == 3 && !parse_double(fields[2], &period_s))) {
+        (fields.size() == 3 && !parse_seconds(fields[2], &period_s))) {
       set_error(error, "--dynamics fluctuate wants fluctuate:AMP[:PERIOD_S]");
       return std::nullopt;
     }
@@ -379,7 +387,7 @@ std::optional<DynamicsPlan> DynamicsPlan::from_spec(const std::string& spec,
     double factor = 0.0;
     std::size_t worker = 0;
     const bool has_worker = fields.size() == 4;
-    if (fields.size() < 3 || fields.size() > 4 || !parse_double(fields[1], &at_s) ||
+    if (fields.size() < 3 || fields.size() > 4 || !parse_seconds(fields[1], &at_s) ||
         !parse_double(fields[2], &factor) ||
         (has_worker && !parse_index(fields[3], &worker))) {
       set_error(error, "--dynamics step wants step:T_S:FACTOR[:WORKER]");
@@ -410,8 +418,8 @@ bool DynamicsPlan::add_outage_spec(const std::string& spec, std::string* error) 
   double dur_s = 0.0;
   std::size_t worker = 0;
   const bool has_worker = fields.size() == 3;
-  if (fields.size() < 2 || fields.size() > 3 || !parse_double(fields[0], &at_s) ||
-      !parse_double(fields[1], &dur_s) ||
+  if (fields.size() < 2 || fields.size() > 3 || !parse_seconds(fields[0], &at_s) ||
+      !parse_seconds(fields[1], &dur_s) ||
       (has_worker && !parse_index(fields[2], &worker)) || dur_s <= 0.0) {
     set_error(error, "--outage wants T_S:DUR_S[:WORKER]");
     return false;
@@ -428,7 +436,7 @@ bool DynamicsPlan::add_straggler_spec(const std::string& spec, std::string* erro
   double at_s = 0.0;
   if (fields.size() < 2 || fields.size() > 3 || !parse_index(fields[0], &worker) ||
       !parse_double(fields[1], &factor) ||
-      (fields.size() == 3 && !parse_double(fields[2], &at_s))) {
+      (fields.size() == 3 && !parse_seconds(fields[2], &at_s))) {
     set_error(error, "--straggler wants WORKER:FACTOR[:T_S]");
     return false;
   }
@@ -441,7 +449,7 @@ bool DynamicsPlan::add_ps_degrade_spec(const std::string& spec, std::string* err
   double factor = 0.0;
   double at_s = 0.0;
   if (fields.empty() || fields.size() > 2 || !parse_double(fields[0], &factor) ||
-      (fields.size() == 2 && !parse_double(fields[1], &at_s))) {
+      (fields.size() == 2 && !parse_seconds(fields[1], &at_s))) {
     set_error(error, "--ps-degrade wants FACTOR[:T_S]");
     return false;
   }
@@ -455,8 +463,8 @@ bool DynamicsPlan::add_worker_crash_spec(const std::string& spec,
   double at_s = 0.0;
   double dur_s = 0.0;
   std::size_t worker = 0;
-  if (fields.size() != 3 || !parse_double(fields[0], &at_s) ||
-      !parse_double(fields[1], &dur_s) || !parse_index(fields[2], &worker) ||
+  if (fields.size() != 3 || !parse_seconds(fields[0], &at_s) ||
+      !parse_seconds(fields[1], &dur_s) || !parse_index(fields[2], &worker) ||
       at_s < 0.0 || dur_s <= 0.0) {
     set_error(error, "--worker-crash wants T_S:DUR_S:WORKER");
     return false;
@@ -472,7 +480,7 @@ bool DynamicsPlan::add_ps_crash_spec(const std::string& spec, std::string* error
   std::size_t shard = 0;
   const bool has_shard = fields.size() == 4;
   if ((fields.size() != 2 && fields.size() != 4) ||
-      !parse_double(fields[0], &at_s) || !parse_double(fields[1], &dur_s) ||
+      !parse_seconds(fields[0], &at_s) || !parse_seconds(fields[1], &dur_s) ||
       (has_shard && (fields[2] != "shard" || !parse_index(fields[3], &shard))) ||
       at_s < 0.0 || dur_s <= 0.0) {
     set_error(error, "--ps-crash wants T_S:DUR_S[:shard:K]");
@@ -492,7 +500,7 @@ bool DynamicsPlan::add_loss_spec(const std::string& spec, std::string* error) {
   double rate = 0.0;
   double at_s = 0.0;
   if (fields.empty() || fields.size() > 2 || !parse_double(fields[0], &rate) ||
-      (fields.size() == 2 && !parse_double(fields[1], &at_s)) || rate < 0.0 ||
+      (fields.size() == 2 && !parse_seconds(fields[1], &at_s)) || rate < 0.0 ||
       rate >= 1.0 || at_s < 0.0) {
     set_error(error, "--loss wants RATE[:T_S] with RATE in [0, 1)");
     return false;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/inline_closure.hpp"
 
 namespace prophet::net {
 
@@ -40,7 +41,8 @@ void ReliableChannel::send(NodeId src, NodeId dst, Bytes size,
                            CompleteFn on_complete) {
   PROPHET_CHECK(on_complete != nullptr);
   const std::uint64_t id = next_id_++;
-  Pending& p = sends_[id];
+  Pending& p = sends_.emplace_back();
+  p.id = id;
   p.src = src;
   p.dst = dst;
   p.total = size;
@@ -49,11 +51,20 @@ void ReliableChannel::send(NodeId src, NodeId dst, Bytes size,
   launch(id);
 }
 
+ReliableChannel::Pending& ReliableChannel::pending(std::uint64_t id) {
+  const auto it = std::lower_bound(
+      sends_.begin(), sends_.end(), id,
+      [](const Pending& p, std::uint64_t key) { return p.id < key; });
+  PROPHET_CHECK_MSG(it != sends_.end() && it->id == id,
+                    "reliable channel event for a send no longer in flight");
+  return *it;
+}
+
 void ReliableChannel::launch(std::uint64_t id) {
-  Pending& p = sends_.at(id);
+  Pending& p = pending(id);
   ++p.attempts;
   p.flow = net_.start_flow(p.src, p.dst, p.attempt_bytes,
-                           [this, id](FlowId) { on_attempt_complete(id); });
+                           inline_closure([this, id](FlowId) { on_attempt_complete(id); }));
   p.flow_live = true;
   if (!config_.enabled()) return;
 
@@ -72,21 +83,22 @@ void ReliableChannel::launch(std::uint64_t id) {
     const Duration drop_after =
         std::max(ideal * rng_.next_double(), Duration::nanos(1));
     p.loss_event = sim_.schedule_after(
-        drop_after, [this, id] { fail_attempt(id, ChannelFault::Kind::kLoss); });
+        drop_after,
+        inline_closure([this, id] { fail_attempt(id, ChannelFault::Kind::kLoss); }));
   }
   p.watchdog_remaining = static_cast<double>(p.attempt_bytes.count());
-  p.watchdog =
-      sim_.schedule_after(config_.stall_timeout, [this, id] { on_watchdog(id); });
+  p.watchdog = sim_.schedule_after(config_.stall_timeout,
+                                   inline_closure([this, id] { on_watchdog(id); }));
 }
 
 void ReliableChannel::on_watchdog(std::uint64_t id) {
-  Pending& p = sends_.at(id);
+  Pending& p = pending(id);
   const double remaining = net_.flow_remaining_bytes(p.flow);
   if (remaining < p.watchdog_remaining) {
     // Bytes moved since the last check: still alive, re-arm.
     p.watchdog_remaining = remaining;
-    p.watchdog =
-        sim_.schedule_after(config_.stall_timeout, [this, id] { on_watchdog(id); });
+    p.watchdog = sim_.schedule_after(config_.stall_timeout,
+                                     inline_closure([this, id] { on_watchdog(id); }));
     return;
   }
   fail_attempt(id, ChannelFault::Kind::kTimeout);
@@ -112,7 +124,7 @@ Duration ReliableChannel::backoff_for(std::size_t failed_attempts) {
 }
 
 void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
-  Pending& p = sends_.at(id);
+  Pending& p = pending(id);
   cancel_timers(p);
   Bytes remaining = p.attempt_bytes;
   if (p.flow_live) {
@@ -143,23 +155,25 @@ void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
     fault.remaining = p.total - p.delivered;
     on_fault_(fault);
   }
-  p.retry_event = sim_.schedule_after(backoff, [this, id] { launch(id); });
+  // The fault observer may have started or finished sends: look `id` up anew.
+  pending(id).retry_event =
+      sim_.schedule_after(backoff, inline_closure([this, id] { launch(id); }));
 }
 
 void ReliableChannel::on_attempt_complete(std::uint64_t id) {
-  Pending& p = sends_.at(id);
+  Pending& p = pending(id);
   p.flow_live = false;
   cancel_timers(p);
   SendOutcome outcome;
   outcome.attempts = p.attempts;
   outcome.retransmitted = p.retransmitted;
   CompleteFn done = std::move(p.on_complete);
-  sends_.erase(id);
+  sends_.erase(sends_.begin() + (&p - sends_.data()));
   done(outcome);
 }
 
 void ReliableChannel::abort_all() {
-  for (auto& [id, p] : sends_) {
+  for (auto& p : sends_) {
     cancel_timers(p);
     if (p.flow_live) {
       net_.cancel_flow(p.flow);

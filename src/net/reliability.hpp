@@ -18,7 +18,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -102,6 +102,7 @@ class ReliableChannel {
 
  private:
   struct Pending {
+    std::uint64_t id = 0;
     NodeId src = 0;
     NodeId dst = 0;
     Bytes total = Bytes::zero();
@@ -118,6 +119,10 @@ class ReliableChannel {
     sim::EventHandle retry_event;
   };
 
+  // The in-flight send `id` (aborts if it is not in flight). The reference
+  // dies with the next send or completion: never hold one across on_fault_
+  // or a completion callback.
+  [[nodiscard]] Pending& pending(std::uint64_t id);
   void launch(std::uint64_t id);
   void on_attempt_complete(std::uint64_t id);
   void on_watchdog(std::uint64_t id);
@@ -130,9 +135,11 @@ class ReliableChannel {
   ReliabilityConfig config_;
   Rng rng_;
   FaultFn on_fault_;
-  // Keyed by a monotone id; point lookups plus a deterministic full walk in
-  // abort_all, so an ordered map keeps replay exact.
-  std::map<std::uint64_t, Pending> sends_;
+  // In-flight sends in ascending id order: ids are issued monotonically, so
+  // appending keeps the order; point lookups binary-search and abort_all
+  // walks front to back, so replay stays exact. A channel carries a handful
+  // of sends at once and the storage is reused from send to send.
+  std::vector<Pending> sends_;
   std::uint64_t next_id_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <limits>
 
@@ -86,9 +87,11 @@ std::optional<TopologySpec> TopologySpec::from_cli(const std::string& spec,
       return std::nullopt;
     }
     rest = rest.substr(1);
+    // strtol saturates an out-of-range count at LONG_MAX and flags ERANGE.
     char* end = nullptr;
+    errno = 0;
     const long racks = std::strtol(rest.c_str(), &end, 10);
-    if (end == rest.c_str() || racks <= 0) {
+    if (end == rest.c_str() || errno == ERANGE || racks <= 0) {
       if (error) *error = "bad rack count in topology '" + spec + "'";
       return std::nullopt;
     }
@@ -99,8 +102,9 @@ std::optional<TopologySpec> TopologySpec::from_cli(const std::string& spec,
       return std::nullopt;
     }
     const char* hosts_str = end + 1;
+    errno = 0;
     const long hosts = std::strtol(hosts_str, &end, 10);
-    if (end == hosts_str || *end != '\0' || hosts <= 0) {
+    if (end == hosts_str || *end != '\0' || errno == ERANGE || hosts <= 0) {
       if (error) *error = "bad hosts-per-rack in topology '" + spec + "'";
       return std::nullopt;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/inline_closure.hpp"
 
 namespace prophet::ps {
 
@@ -87,10 +88,14 @@ void Server::complete_round(std::size_t key) {
       Duration::from_seconds(static_cast<double>(state.size.count()) *
                              static_cast<double>(num_workers_) /
                              update_bytes_per_sec_);
-  schedule_update(shard, cost, [this, key, shard, e = shards_[shard].epoch] {
-    if (e != shards_[shard].epoch) return;
-    for (std::size_t w = 0; w < num_workers_; ++w) on_updated_(w, key);
-  });
+  // One update per completed round: the closure stays within std::function's
+  // inline buffer (the shard is re-derived from the key).
+  schedule_update(shard, cost,
+                  inline_closure([this, k = static_cast<std::uint32_t>(key),
+                                  e = shards_[shard].epoch] {
+                    if (e != shards_[shard_map_.shard_of(k)].epoch) return;
+                    for (std::size_t w = 0; w < num_workers_; ++w) on_updated_(w, k);
+                  }));
 }
 
 void Server::enable_failover(Duration period) {

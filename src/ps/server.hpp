@@ -132,7 +132,7 @@ class Server {
     double cpu_factor = 1.0;
     TimePoint cpu_free{};
     bool crashed = false;
-    std::uint64_t epoch = 0;
+    std::uint32_t epoch = 0;
     TimePoint crash_time{};
     std::vector<RoundEntry> round_log;
   };

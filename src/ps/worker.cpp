@@ -1,10 +1,10 @@
 #include "ps/worker.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/inline_closure.hpp"
 
 namespace prophet::ps {
 
@@ -101,7 +101,7 @@ void Worker::begin_iteration() {
   }
   training_.mark_iteration_start(iter_, sim_.now());
   if (done()) return;  // final boundary recorded; no more compute
-  timing_ = params_.iteration_model->sample(rng_);
+  params_.iteration_model->sample(rng_, timing_);
   if (compute_factor_ != 1.0) {
     // Straggler injection: the whole compute timeline stretches, including
     // the gradient-ready offsets the KVStore flushes are pinned to.
@@ -128,12 +128,13 @@ void Worker::advance_forward() {
       return;
     }
     gpu_.busy_from(sim_.now());
-    sim_.schedule_after(timing_.fwd[fwd_layer_], [this, inc = incarnation_] {
-      if (inc != incarnation_) return;  // compute died with the crash
-      gpu_.idle_from(sim_.now());
-      ++fwd_layer_;
-      advance_forward();
-    });
+    sim_.schedule_after(timing_.fwd[fwd_layer_],
+                        inline_closure([this, inc = incarnation_] {
+                          if (inc != incarnation_) return;  // compute died with the crash
+                          gpu_.idle_from(sim_.now());
+                          ++fwd_layer_;
+                          advance_forward();
+                        }));
     return;  // resumes from the completion event
   }
   begin_backward();
@@ -171,33 +172,65 @@ void Worker::begin_backward() {
   // Backward compute occupies the GPU until the final flush.
   gpu_.busy_from(now);
 
-  // Gradient emissions at the KVStore flush instants (stepwise pattern).
-  std::map<Duration, std::vector<std::size_t>> events;
-  for (std::size_t g = 0; g < timing_.ready_offset.size(); ++g) {
-    events[timing_.ready_offset[g]].push_back(g);
+  // Gradient emissions at the KVStore flush instants (stepwise pattern):
+  // one event per distinct ready offset, in ascending offset order, each
+  // releasing its gradients in ascending index order. A KVStore flush
+  // releases a contiguous index range, so the offsets form a few runs of
+  // equal value; sorting the runs by (offset, first index) lines up each
+  // event's runs in ascending index order. Every flush of the previous
+  // backward fired before its end_backward (no offset exceeds
+  // backward_total), so the run buffer is free to rewrite.
+  PROPHET_CHECK_MSG(flushes_pending_ == 0,
+                    "a gradient flush of the previous backward is still pending");
+  const auto& ready = timing_.ready_offset;
+  flush_runs_.clear();
+  for (std::size_t g = 0; g < ready.size(); ++g) {
+    if (g > 0 && ready[g] == ready[g - 1]) {
+      ++flush_runs_.back().end;
+    } else {
+      flush_runs_.push_back(FlushRun{ready[g], g, g + 1});
+    }
   }
-  for (const auto& [offset, grads] : events) {
-    sim_.schedule_after(offset, [this, grads = grads, inc = incarnation_] {
-      if (inc != incarnation_) return;  // flush died with the crash
-      for (std::size_t g : grads) {
-        if (push_rounds_done_[g] > iter_) {
-          // Replayed backward: this key's round already aggregated at the PS
-          // before the fault; re-sending it would double-count the gradient.
-          push_sched_->on_gradient_skipped(g, sim_.now());
-          continue;
-        }
-        enqueue_time_push_[g] = sim_.now();
-        enqueue_iter_push_[g] = iter_;
-        push_sched_->enqueue(g, params_.iteration_model->model().tensor(g).bytes,
-                             sim_.now());
+  std::sort(flush_runs_.begin(), flush_runs_.end(),
+            [](const FlushRun& a, const FlushRun& b) {
+              return a.offset != b.offset ? a.offset < b.offset : a.begin < b.begin;
+            });
+  for (std::size_t r = 0; r < flush_runs_.size(); ++r) {
+    if (r > 0 && flush_runs_[r].offset == flush_runs_[r - 1].offset) continue;
+    ++flushes_pending_;
+    sim_.schedule_after(flush_runs_[r].offset,
+                        inline_closure([this, first_run = static_cast<std::uint32_t>(r),
+                                        inc = incarnation_] {
+                          if (inc != incarnation_) return;  // flush died with the crash
+                          flush_gradients(first_run);
+                        }));
+  }
+  sim_.schedule_after(timing_.backward_total(), inline_closure([this, inc = incarnation_] {
+                        if (inc != incarnation_) return;  // backward died with the crash
+                        end_backward();
+                      }));
+}
+
+void Worker::flush_gradients(std::size_t first_run) {
+  PROPHET_CHECK(flushes_pending_ > 0);
+  --flushes_pending_;
+  const Duration offset = flush_runs_[first_run].offset;
+  for (std::size_t r = first_run;
+       r < flush_runs_.size() && flush_runs_[r].offset == offset; ++r) {
+    for (std::size_t g = flush_runs_[r].begin; g < flush_runs_[r].end; ++g) {
+      if (push_rounds_done_[g] > iter_) {
+        // Replayed backward: this key's round already aggregated at the PS
+        // before the fault; re-sending it would double-count the gradient.
+        push_sched_->on_gradient_skipped(g, sim_.now());
+        continue;
       }
-      pump(sched::TaskKind::kPush);
-    });
+      enqueue_time_push_[g] = sim_.now();
+      enqueue_iter_push_[g] = iter_;
+      push_sched_->enqueue(g, params_.iteration_model->model().tensor(g).bytes,
+                           sim_.now());
+    }
   }
-  sim_.schedule_after(timing_.backward_total(), [this, inc = incarnation_] {
-    if (inc != incarnation_) return;  // backward died with the crash
-    end_backward();
-  });
+  pump(sched::TaskKind::kPush);
 }
 
 void Worker::end_backward() {
@@ -208,40 +241,40 @@ void Worker::end_backward() {
 
 void Worker::pump(sched::TaskKind kind) {
   if (crashed_ || all_ps_down()) return;  // no endpoint to talk to
-  auto& active = kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
-  if (active.has_value()) return;  // one task in flight per direction
+  ActiveTask& active = active_task(kind);
+  if (active.live) return;  // one task in flight per direction
   const TimePoint hold = kind == sched::TaskKind::kPush ? push_hold_ : pull_hold_;
   if (sim_.now() < hold) return;  // ack window; a pump is scheduled at `hold`
-  auto task = scheduler(kind).next_task(sim_.now());
-  if (!task.has_value()) {
+  if (!scheduler(kind).next_task(sim_.now(), active.task)) {
     // The scheduler may be holding tensors whose release is time-driven;
     // poll again shortly so such work cannot strand.
     sim::EventHandle& poll = kind == sched::TaskKind::kPush ? push_poll_ : pull_poll_;
     if (scheduler(kind).has_pending() && !poll.pending()) {
-      poll = sim_.schedule_after(Duration::millis(1), [this, kind] { pump(kind); });
+      poll = sim_.schedule_after(Duration::millis(1),
+                                 inline_closure([this, kind] { pump(kind); }));
     }
     return;
   }
-  PROPHET_CHECK(!task->items.empty());
 
   // Fan the task out into one sub-flow per PS shard. Items addressed to a
   // downed shard are dropped here: the shard's failover rollback clears and
-  // re-enqueues its keys' work, so sending would only double it later.
+  // re-enqueues its keys' work, so sending would only double it later. The
+  // per-shard buffers are sized by the first task and reused after it.
   const std::size_t shards = num_shards();
-  std::vector<std::vector<sched::TransferItem>> groups(shards);
+  active.live_on_shard.assign(shards, 0);
+  shard_bytes_.assign(shards, Bytes::zero());
   bool dropped = false;
-  for (const auto& item : task->items) {
+  for (const auto& item : active.task.items) {
     const std::size_t s = shard_of(item.grad);
     if (ps_shard_down_[s] != 0) {
       dropped = true;
       continue;
     }
-    groups[s].push_back(item);
+    active.live_on_shard[s] = 1;
+    shard_bytes_[s] += item.bytes;
   }
-  std::size_t live = 0;
-  for (const auto& group : groups) {
-    if (!group.empty()) ++live;
-  }
+  const auto live = static_cast<std::size_t>(
+      std::count(active.live_on_shard.begin(), active.live_on_shard.end(), 1));
   if (live == 0) {
     // The whole task addressed downed shards; it dies like an aborted
     // transfer and the next queued task gets the NIC.
@@ -249,39 +282,36 @@ void Worker::pump(sched::TaskKind kind) {
     return;
   }
 
-  const TimePoint started = sim_.now();
-  active.emplace();
-  active->task = std::move(*task);
-  active->started = started;
-  active->open_subflows = live;
-  active->lost_items = dropped;
-  active->live_on_shard.assign(shards, 0);
+  active.live = true;
+  active.started = sim_.now();
+  active.open_subflows = live;
+  active.lost_items = dropped;
   for (std::size_t s = 0; s < shards; ++s) {
-    if (groups[s].empty()) continue;
-    active->live_on_shard[s] = 1;
-    Bytes flow_bytes = Bytes::zero();
-    for (const auto& item : groups[s]) flow_bytes += item.bytes;
+    if (active.live_on_shard[s] == 0) continue;
     const net::NodeId src =
         kind == sched::TaskKind::kPush ? params_.node : params_.ps_nodes[s];
     const net::NodeId dst =
         kind == sched::TaskKind::kPush ? params_.ps_nodes[s] : params_.node;
-    channels_[s]->send(src, dst, flow_bytes,
-                       [this, kind, s, items = std::move(groups[s]), started](
-                           const net::SendOutcome& outcome) {
-                         on_subflow_done(kind, s, items, started, outcome);
-                       });
+    channels_[s]->send(src, dst, shard_bytes_[s],
+                       inline_closure([this, kind, shard = static_cast<std::uint32_t>(s)](
+                                          const net::SendOutcome& outcome) {
+                         on_subflow_done(kind, shard, outcome);
+                       }));
   }
 }
 
 void Worker::on_subflow_done(sched::TaskKind kind, std::size_t shard,
-                             const std::vector<sched::TransferItem>& items,
-                             TimePoint started, const net::SendOutcome& outcome) {
+                             const net::SendOutcome& outcome) {
   const TimePoint now = sim_.now();
-  auto& active = kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
-  PROPHET_CHECK(active.has_value() && active->open_subflows > 0);
-  active->live_on_shard[shard] = 0;
+  ActiveTask& active = active_task(kind);
+  PROPHET_CHECK(active.live && active.open_subflows > 0 &&
+                active.live_on_shard[shard] != 0);
+  active.live_on_shard[shard] = 0;
 
-  for (const auto& item : items) {
+  // Nothing below starts another task in this direction (the task is still
+  // live), so the items stay put while they are walked.
+  for (const auto& item : active.task.items) {
+    if (shard_of(item.grad) != shard) continue;
     metrics::TransferRecord rec;
     // Attribute the record to the round the tensor was enqueued in: pushes
     // belong to their backward iteration, pulls to the matching update.
@@ -292,7 +322,7 @@ void Worker::on_subflow_done(sched::TaskKind kind, std::size_t shard,
     rec.bytes = item.bytes;
     rec.enqueued = kind == sched::TaskKind::kPush ? enqueue_time_push_[item.grad]
                                                   : enqueue_time_pull_[item.grad];
-    rec.started = started;
+    rec.started = active.started;
     rec.finished = now;
     rec.attempts = outcome.attempts;
     transfer_log_.record(rec);
@@ -327,14 +357,10 @@ void Worker::on_subflow_done(sched::TaskKind kind, std::size_t shard,
 }
 
 void Worker::close_subflow(sched::TaskKind kind) {
-  auto& active = kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
-  if (--active->open_subflows > 0) return;
-  const TimePoint now = sim_.now();
-  const sched::TransferTask task = std::move(active->task);
-  const TimePoint started = active->started;
-  const bool complete = !active->lost_items;
-  active.reset();
-  if (!complete) {
+  ActiveTask& active = active_task(kind);
+  if (--active.open_subflows > 0) return;
+  active.live = false;
+  if (active.lost_items) {
     // A sub-flow died with a shard (or items were dropped at send time):
     // the task never fully delivered, so it ends without on_task_done —
     // exactly how a whole-tier abort ends a task. The rollback re-enqueues
@@ -342,13 +368,16 @@ void Worker::close_subflow(sched::TaskKind kind) {
     pump(kind);
     return;
   }
-  scheduler(kind).on_task_done(task, started, now);
-  if (task.post_delay > Duration::zero()) {
+  const TimePoint now = sim_.now();
+  scheduler(kind).on_task_done(active.task, active.started, now);
+  // Read before pump() refills the buffer with the next task.
+  const Duration post_delay = active.task.post_delay;
+  if (post_delay > Duration::zero()) {
     // Credit-based flow control: hold the NIC until the window-replenishing
     // acknowledgment returns.
     TimePoint& hold = kind == sched::TaskKind::kPush ? push_hold_ : pull_hold_;
-    hold = now + task.post_delay;
-    sim_.schedule_after(task.post_delay, [this, kind] { pump(kind); });
+    hold = now + post_delay;
+    sim_.schedule_after(post_delay, inline_closure([this, kind] { pump(kind); }));
   } else {
     pump(kind);
   }
@@ -356,14 +385,14 @@ void Worker::close_subflow(sched::TaskKind kind) {
 
 void Worker::detach_subflows(std::size_t shard) {
   for (const auto kind : {sched::TaskKind::kPush, sched::TaskKind::kPull}) {
-    auto& active = kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
-    if (!active.has_value() || active->live_on_shard[shard] == 0) continue;
+    ActiveTask& active = active_task(kind);
+    if (!active.live || active.live_on_shard[shard] == 0) continue;
     // The aborted sub-flow's completion callback never fires; account for it
     // here so the surviving sub-flows can still close the task (silently —
     // part of it was lost).
-    active->live_on_shard[shard] = 0;
-    active->lost_items = true;
-    if (--active->open_subflows == 0) active.reset();
+    active.live_on_shard[shard] = 0;
+    active.lost_items = true;
+    if (--active.open_subflows == 0) active.live = false;
   }
 }
 
@@ -411,8 +440,9 @@ void Worker::repush_owed_rounds() {
 void Worker::halt_inflight() {
   ++incarnation_;  // fences every scheduled compute callback
   for (auto& channel : channels_) channel->abort_all();
-  push_active_.reset();
-  pull_active_.reset();
+  push_active_.live = false;
+  pull_active_.live = false;
+  flushes_pending_ = 0;  // the stale incarnation's flushes are fenced
   push_poll_.cancel();
   pull_poll_.cancel();
   push_hold_ = TimePoint::origin();

@@ -22,6 +22,12 @@
 // crash finishes its task silently, exactly like a whole-tier abort. With
 // ps_shards=1 a task is one sub-flow on channel 0 and the timeline is
 // bit-identical to the historical single-channel worker.
+//
+// The transfer path allocates nothing in steady state: each direction owns
+// one task buffer the scheduler fills in place, sub-flow completions walk
+// that buffer for their shard, and the gradient flush schedule of a backward
+// pass lives in worker-owned buffers. Every per-transfer closure captures at
+// most 16 bytes (see common/inline_closure.hpp).
 #pragma once
 
 #include <cstdint>
@@ -138,8 +144,11 @@ class Worker {
   [[nodiscard]] std::size_t prophet_replans() const;
 
  private:
-  // One scheduler task in flight, fanned out as per-shard sub-flows.
+  // A direction's task buffer: the scheduler task in flight (when `live`),
+  // fanned out as per-shard sub-flows. The buffer outlives its tasks so the
+  // item and shard storage is reused from one task to the next.
   struct ActiveTask {
+    bool live = false;
     sched::TransferTask task;
     TimePoint started{};
     std::size_t open_subflows = 0;
@@ -153,10 +162,14 @@ class Worker {
   void advance_forward();
   void begin_backward();
   void end_backward();
+  // The flush event whose runs start at flush_runs_[first_run]: hands every
+  // gradient ready at that offset to the push scheduler.
+  void flush_gradients(std::size_t first_run);
   void pump(sched::TaskKind kind);
+  // The active task's sub-flow to `shard` delivered: processes the task's
+  // items addressed to that shard.
   void on_subflow_done(sched::TaskKind kind, std::size_t shard,
-                       const std::vector<sched::TransferItem>& items,
-                       TimePoint started, const net::SendOutcome& outcome);
+                       const net::SendOutcome& outcome);
   // A sub-flow's items have been processed (or the sub-flow died): closes the
   // task if this was its last open sub-flow.
   void close_subflow(sched::TaskKind kind);
@@ -165,6 +178,9 @@ class Worker {
   void detach_subflows(std::size_t shard);
   [[nodiscard]] bool forward_gate_open(std::size_t layer) const;
   [[nodiscard]] sched::CommScheduler& scheduler(sched::TaskKind kind);
+  [[nodiscard]] ActiveTask& active_task(sched::TaskKind kind) {
+    return kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
+  }
   [[nodiscard]] std::size_t num_shards() const { return params_.ps_nodes.size(); }
   [[nodiscard]] std::size_t shard_of(std::size_t key) const {
     return key % params_.ps_nodes.size();
@@ -224,12 +240,24 @@ class Worker {
   // Fences scheduled compute callbacks (forward steps, gradient flushes,
   // backward end) across crash/rollback: each captures the incarnation it
   // was scheduled under and no-ops if it moved.
-  std::uint64_t incarnation_{0};
+  std::uint32_t incarnation_{0};
+  // Flush schedule of the current backward pass: runs of consecutive
+  // gradients sharing a ready offset, sorted by (offset, first gradient).
+  // Rewritten by every begin_backward, which checks that no flush of the
+  // current incarnation is still pending.
+  struct FlushRun {
+    Duration offset;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<FlushRun> flush_runs_;
+  std::size_t flushes_pending_{0};
   std::vector<TimePoint> enqueue_time_push_;
   std::vector<TimePoint> enqueue_time_pull_;
   std::vector<std::size_t> enqueue_iter_push_;
-  std::optional<ActiveTask> push_active_;
-  std::optional<ActiveTask> pull_active_;
+  ActiveTask push_active_;
+  ActiveTask pull_active_;
+  std::vector<Bytes> shard_bytes_;  // pump scratch: a task's bytes per shard
   // Re-poll timers for schedulers that decline work now but hold pending
   // tensors whose release is time-driven (MG-WFBP age triggers, Prophet
   // interval waits under mispredicted profiles).

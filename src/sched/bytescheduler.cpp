@@ -23,13 +23,11 @@ void ByteSchedulerScheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint) {
   queue_.add(grad, bytes);
 }
 
-std::optional<TransferTask> ByteSchedulerScheduler::next_task(TimePoint) {
-  if (queue_.empty()) return std::nullopt;
-  TransferTask task;
-  task.kind = kind();
-  task.items = queue_.pop(credit_);
+bool ByteSchedulerScheduler::fill_task(TimePoint, TransferTask& task) {
+  if (queue_.empty()) return false;
+  queue_.pop(credit_, task.items);
   task.post_delay = config_.credit_ack_delay;
-  return task;
+  return true;
 }
 
 void ByteSchedulerScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}

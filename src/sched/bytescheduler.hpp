@@ -42,7 +42,6 @@ class ByteSchedulerScheduler final : public CommScheduler {
   ByteSchedulerScheduler(TaskKind kind, ByteSchedulerConfig config = {});
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<TransferTask> next_task(TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
   void on_iteration_end(std::size_t iteration, TimePoint now) override;
@@ -60,6 +59,8 @@ class ByteSchedulerScheduler final : public CommScheduler {
   [[nodiscard]] Bytes credit_bytes() const { return credit_; }
 
  private:
+  bool fill_task(TimePoint now, TransferTask& task) override;
+
   void finish_tuning_episode(TimePoint now);
 
   ByteSchedulerConfig config_;

@@ -6,7 +6,7 @@
 // the conventional frameworks (Secs. 2.2, 6.1).
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 
@@ -19,20 +19,28 @@ class FifoScheduler final : public CommScheduler {
       : CommScheduler{kind}, blocking_ack_{blocking_ack} {}
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<TransferTask> next_task(TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
-  void on_recovery(TimePoint) override { queue_.clear(); }
-  [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
+  void on_recovery(TimePoint) override {
+    queue_.clear();
+    head_ = 0;
+  }
+  [[nodiscard]] bool has_pending() const override { return head_ < queue_.size(); }
   [[nodiscard]] std::string name() const override { return "fifo"; }
 
  private:
+  bool fill_task(TimePoint now, TransferTask& task) override;
+
   struct Entry {
     std::size_t grad;
     Bytes bytes;
   };
   Duration blocking_ack_;
-  std::deque<Entry> queue_;
+  // Arrival-ordered entries; [head_, size) are still queued. The sent prefix
+  // is reclaimed before the vector would grow, so steady state allocates
+  // nothing.
+  std::vector<Entry> queue_;
+  std::size_t head_{0};
 };
 
 }  // namespace prophet::sched

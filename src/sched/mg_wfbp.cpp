@@ -17,17 +17,15 @@ void MgWfbpScheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint now) {
   buffered_ += bytes;
 }
 
-std::optional<TransferTask> MgWfbpScheduler::next_task(TimePoint now) {
-  if (buffer_.empty()) return std::nullopt;
+bool MgWfbpScheduler::fill_task(TimePoint now, TransferTask& task) {
+  if (buffer_.empty()) return false;
   // Merge condition: enough bytes buffered, or the most urgent buffered
   // tensor has waited long enough that holding it back costs more than the
   // startup saving.
   const bool size_ready = buffered_ >= config_.merge_bytes;
   const bool age_ready = now - buffer_.begin()->second.enqueued >= config_.max_delay;
-  if (!size_ready && !age_ready) return std::nullopt;
+  if (!size_ready && !age_ready) return false;
 
-  TransferTask task;
-  task.kind = kind();
   Bytes taken{};
   auto it = buffer_.begin();
   while (it != buffer_.end() && taken < config_.merge_bytes) {
@@ -37,7 +35,7 @@ std::optional<TransferTask> MgWfbpScheduler::next_task(TimePoint now) {
     it = buffer_.erase(it);
   }
   buffered_ -= taken;
-  return task;
+  return true;
 }
 
 void MgWfbpScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}

@@ -30,7 +30,6 @@ class MgWfbpScheduler final : public CommScheduler {
   MgWfbpScheduler(TaskKind kind, MgWfbpConfig config = {});
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<TransferTask> next_task(TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
   void on_recovery(TimePoint) override {
@@ -41,6 +40,8 @@ class MgWfbpScheduler final : public CommScheduler {
   [[nodiscard]] std::string name() const override { return "mg-wfbp"; }
 
  private:
+  bool fill_task(TimePoint now, TransferTask& task) override;
+
   MgWfbpConfig config_;
   struct Entry {
     Bytes bytes;

@@ -9,14 +9,12 @@ void P3Scheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint) {
   queue_.add(grad, bytes);
 }
 
-std::optional<TransferTask> P3Scheduler::next_task(TimePoint) {
-  if (queue_.empty()) return std::nullopt;
-  TransferTask task;
-  task.kind = kind();
+bool P3Scheduler::fill_task(TimePoint, TransferTask& task) {
+  if (queue_.empty()) return false;
   // Budget of one byte still pops exactly one partition: P3's granularity.
-  task.items = queue_.pop(Bytes::of(1));
+  queue_.pop(Bytes::of(1), task.items);
   task.post_delay = blocking_ack_;
-  return task;
+  return true;
 }
 
 void P3Scheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}

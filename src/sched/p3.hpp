@@ -19,7 +19,6 @@ class P3Scheduler final : public CommScheduler {
               Duration blocking_ack = Duration::micros(1500));
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<TransferTask> next_task(TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
   void on_recovery(TimePoint) override { queue_.clear(); }
@@ -28,6 +27,8 @@ class P3Scheduler final : public CommScheduler {
   [[nodiscard]] Bytes partition_bytes() const { return queue_.partition_bytes(); }
 
  private:
+  bool fill_task(TimePoint now, TransferTask& task) override;
+
   PartitionQueue queue_;
   Duration blocking_ack_;
 };

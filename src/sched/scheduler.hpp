@@ -7,8 +7,10 @@
 //   1. The training engine calls enqueue() when a tensor becomes
 //      transferable (gradient aggregated by the KVStore, or parameter
 //      updated at the PS).
-//   2. Whenever its NIC is idle the engine calls next_task(); the scheduler
-//      returns the next network operation or nullopt to stay idle.
+//   2. Whenever its NIC is idle the engine calls next_task() with a task
+//      buffer it owns; the scheduler fills in the next network operation, or
+//      returns false to stay idle. The buffer's item storage is reused from
+//      task to task, so a steady-state pump allocates nothing.
 //   3. on_task_done() reports completion (BytePS's reportFinish), feeding
 //      strategies that learn from observed transfer times.
 //
@@ -20,10 +22,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "sched/task.hpp"
@@ -40,8 +42,18 @@ class CommScheduler {
 
   // Tensor `grad` (full size `bytes`) became available for transfer.
   virtual void enqueue(std::size_t grad, Bytes bytes, TimePoint now) = 0;
-  // NIC is idle; return the next operation, or nullopt if nothing to send.
-  virtual std::optional<TransferTask> next_task(TimePoint now) = 0;
+  // NIC is idle: resets `task` (kind set, items cleared with their capacity
+  // kept, no post delay) and fills in the next operation. Returns false, with
+  // `task` left empty, if there is nothing to send; a produced task always
+  // carries at least one item.
+  bool next_task(TimePoint now, TransferTask& task) {
+    task.kind = kind_;
+    task.items.clear();
+    task.post_delay = Duration::zero();
+    if (!fill_task(now, task)) return false;
+    PROPHET_CHECK(!task.items.empty());
+    return true;
+  }
   // A previously returned task finished its network transfer.
   virtual void on_task_done(const TransferTask& task, TimePoint started,
                             TimePoint finished) = 0;
@@ -75,6 +87,11 @@ class CommScheduler {
   [[nodiscard]] virtual bool has_pending() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+ protected:
+  // Strategy body of next_task(): appends the next operation's items (and
+  // its post delay) to the reset `task`; false to stay idle.
+  virtual bool fill_task(TimePoint now, TransferTask& task) = 0;
 
  private:
   TaskKind kind_;

@@ -13,16 +13,14 @@ void TicTacScheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint) {
   PROPHET_CHECK_MSG(inserted, "tensor enqueued twice");
 }
 
-std::optional<TransferTask> TicTacScheduler::next_task(TimePoint) {
-  if (queue_.empty()) return std::nullopt;
+bool TicTacScheduler::fill_task(TimePoint, TransferTask& task) {
+  if (queue_.empty()) return false;
   const auto it = queue_.begin();
-  TransferTask task;
-  task.kind = kind();
   task.items.push_back(
       TransferItem{it->first, Bytes::zero(), it->second, /*last_slice=*/true});
   task.post_delay = blocking_ack_;
   queue_.erase(it);
-  return task;
+  return true;
 }
 
 void TicTacScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}

@@ -19,7 +19,6 @@ class TicTacScheduler final : public CommScheduler {
                            Duration blocking_ack = Duration::micros(1500));
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
-  std::optional<TransferTask> next_task(TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
   void on_recovery(TimePoint) override { queue_.clear(); }
@@ -27,6 +26,8 @@ class TicTacScheduler final : public CommScheduler {
   [[nodiscard]] std::string name() const override { return "tictac"; }
 
  private:
+  bool fill_task(TimePoint now, TransferTask& task) override;
+
   Duration blocking_ack_;
   // Whole tensors keyed by priority.
   std::map<std::size_t, Bytes> queue_;

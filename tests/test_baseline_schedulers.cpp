@@ -3,6 +3,7 @@
 #include "sched/bytescheduler.hpp"
 #include "sched/fifo.hpp"
 #include "sched/p3.hpp"
+#include "task_helper.hpp"
 
 namespace prophet::sched {
 namespace {
@@ -17,53 +18,53 @@ TEST(Fifo, TransfersWholeTensorsInArrivalOrder) {
   fifo.enqueue(3, Bytes::mib(1), at(1));
   fifo.enqueue(0, Bytes::kib(4), at(2));
 
-  auto t1 = fifo.next_task(at(3));
+  auto t1 = take_task(fifo, at(3));
   ASSERT_TRUE(t1.has_value());
   EXPECT_EQ(t1->items.size(), 1u);
   EXPECT_EQ(t1->items[0].grad, 7u);  // arrival order, NOT priority
   EXPECT_EQ(t1->total_bytes(), Bytes::mib(2));
   EXPECT_TRUE(t1->items[0].last_slice);
 
-  EXPECT_EQ(fifo.next_task(at(3))->items[0].grad, 3u);
-  EXPECT_EQ(fifo.next_task(at(3))->items[0].grad, 0u);
-  EXPECT_FALSE(fifo.next_task(at(3)).has_value());
+  EXPECT_EQ(take_task(fifo, at(3))->items[0].grad, 3u);
+  EXPECT_EQ(take_task(fifo, at(3))->items[0].grad, 0u);
+  EXPECT_FALSE(take_task(fifo, at(3)).has_value());
   EXPECT_FALSE(fifo.has_pending());
 }
 
 TEST(Fifo, BlockingAckAppliedToTasks) {
   FifoScheduler fifo{TaskKind::kPush, 2_ms};
   fifo.enqueue(1, Bytes::mib(1), at(0));
-  EXPECT_EQ(fifo.next_task(at(0))->post_delay, 2_ms);
+  EXPECT_EQ(take_task(fifo, at(0))->post_delay, 2_ms);
 }
 
 TEST(Fifo, KindPropagates) {
   FifoScheduler pull{TaskKind::kPull};
   pull.enqueue(1, Bytes::mib(1), at(0));
-  EXPECT_EQ(pull.next_task(at(0))->kind, TaskKind::kPull);
+  EXPECT_EQ(take_task(pull, at(0))->kind, TaskKind::kPull);
 }
 
 TEST(P3, OnePartitionPerTask) {
   P3Scheduler p3{TaskKind::kPush, Bytes::mib(4)};
   p3.enqueue(2, Bytes::mib(10), at(0));
-  auto t1 = p3.next_task(at(0));
+  auto t1 = take_task(p3, at(0));
   ASSERT_TRUE(t1.has_value());
   EXPECT_EQ(t1->items.size(), 1u);
   EXPECT_EQ(t1->total_bytes(), Bytes::mib(4));
-  auto t2 = p3.next_task(at(0));
+  auto t2 = take_task(p3, at(0));
   EXPECT_EQ(t2->items[0].offset, Bytes::mib(4));
-  auto t3 = p3.next_task(at(0));
+  auto t3 = take_task(p3, at(0));
   EXPECT_EQ(t3->total_bytes(), Bytes::mib(2));
   EXPECT_TRUE(t3->items[0].last_slice);
-  EXPECT_FALSE(p3.next_task(at(0)).has_value());
+  EXPECT_FALSE(take_task(p3, at(0)).has_value());
 }
 
 TEST(P3, StrictPriorityPreemption) {
   P3Scheduler p3{TaskKind::kPush, Bytes::mib(4)};
   p3.enqueue(5, Bytes::mib(12), at(0));
-  (void)p3.next_task(at(0));          // one partition of gradient 5 sent
+  (void)take_task(p3, at(0));          // one partition of gradient 5 sent
   p3.enqueue(1, Bytes::mib(4), at(1));  // higher priority arrives
-  EXPECT_EQ(p3.next_task(at(1))->items[0].grad, 1u);
-  EXPECT_EQ(p3.next_task(at(1))->items[0].grad, 5u);
+  EXPECT_EQ(take_task(p3, at(1))->items[0].grad, 1u);
+  EXPECT_EQ(take_task(p3, at(1))->items[0].grad, 5u);
 }
 
 TEST(ByteScheduler, GroupsUpToCreditAcrossTensors) {
@@ -73,15 +74,15 @@ TEST(ByteScheduler, GroupsUpToCreditAcrossTensors) {
   ByteSchedulerScheduler bs{TaskKind::kPush, cfg};
   bs.enqueue(4, Bytes::mib(2), at(0));
   bs.enqueue(9, Bytes::mib(2), at(0));
-  auto t1 = bs.next_task(at(0));
+  auto t1 = take_task(bs, at(0));
   ASSERT_TRUE(t1.has_value());
   EXPECT_EQ(t1->total_bytes(), Bytes::mib(3));
   EXPECT_EQ(t1->items.size(), 3u);
   EXPECT_EQ(t1->items[0].grad, 4u);
   EXPECT_EQ(t1->items[2].grad, 9u);  // crosses tensors in priority order
-  auto t2 = bs.next_task(at(0));
+  auto t2 = take_task(bs, at(0));
   EXPECT_EQ(t2->total_bytes(), Bytes::mib(1));
-  EXPECT_FALSE(bs.next_task(at(0)).has_value());
+  EXPECT_FALSE(take_task(bs, at(0)).has_value());
 }
 
 TEST(ByteScheduler, CreditAckDelayOnTasks) {
@@ -89,7 +90,7 @@ TEST(ByteScheduler, CreditAckDelayOnTasks) {
   cfg.credit_ack_delay = 700_us;
   ByteSchedulerScheduler bs{TaskKind::kPush, cfg};
   bs.enqueue(0, Bytes::mib(1), at(0));
-  EXPECT_EQ(bs.next_task(at(0))->post_delay, 700_us);
+  EXPECT_EQ(take_task(bs, at(0))->post_delay, 700_us);
 }
 
 TEST(ByteScheduler, FixedCreditWithoutAutotune) {
@@ -123,9 +124,9 @@ TEST(ByteScheduler, PreemptionWithinCreditGranularity) {
   cfg.credit_bytes = Bytes::mib(2);
   ByteSchedulerScheduler bs{TaskKind::kPush, cfg};
   bs.enqueue(8, Bytes::mib(6), at(0));
-  (void)bs.next_task(at(0));  // 2 MiB of gradient 8 in flight
+  (void)take_task(bs, at(0));  // 2 MiB of gradient 8 in flight
   bs.enqueue(0, Bytes::mib(1), at(1));
-  const auto next = bs.next_task(at(1));
+  const auto next = take_task(bs, at(1));
   // Gradient 0 leads the next credit group.
   EXPECT_EQ(next->items[0].grad, 0u);
   EXPECT_EQ(next->items[1].grad, 8u);

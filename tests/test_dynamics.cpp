@@ -171,6 +171,36 @@ TEST(DynamicsPlan, CrashSpecParsingAndErrorPaths) {
   EXPECT_TRUE(bad.empty());
 }
 
+TEST(DynamicsPlan, SpecParsersRejectNonFiniteAndOutOfRangeNumbers) {
+  // Each spec parser reports its own error instead of handing a value the
+  // simulator cannot represent to Duration::from_seconds or the event queue.
+  std::string error;
+  net::DynamicsPlan bad;
+  const auto rejects = [&](bool accepted, const char* expected) {
+    EXPECT_FALSE(accepted);
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+    error.clear();
+  };
+  rejects(bad.add_ps_degrade_spec("inf", &error), "--ps-degrade wants");
+  rejects(bad.add_ps_degrade_spec("nan", &error), "--ps-degrade wants");
+  rejects(bad.add_ps_degrade_spec("2:1e300", &error), "--ps-degrade wants");
+  rejects(bad.add_outage_spec("1e300:1", &error), "--outage wants");
+  rejects(bad.add_outage_spec("1:inf", &error), "--outage wants");
+  rejects(bad.add_straggler_spec("0:nan", &error), "--straggler wants");
+  rejects(bad.add_straggler_spec("0:2:-inf", &error), "--straggler wants");
+  rejects(bad.add_worker_crash_spec("1:1e300:0", &error), "--worker-crash");
+  rejects(bad.add_loss_spec("nan", &error), "--loss");
+  EXPECT_TRUE(bad.empty());
+
+  rejects(net::DynamicsPlan::from_spec("step:inf:0.5", 1, 4_s, 2, &error).has_value(),
+          "--dynamics step wants");
+  rejects(net::DynamicsPlan::from_spec("fluctuate:nan", 1, 4_s, 2, &error).has_value(),
+          "--dynamics fluctuate");
+  rejects(net::DynamicsPlan::from_spec("fluctuate:0.2:1e300", 1, 4_s, 2, &error)
+              .has_value(),
+          "--dynamics fluctuate");
+}
+
 TEST(DynamicsPlan, TraceCsvRoundTripsFaultEvents) {
   const std::string path = ::testing::TempDir() + "/fault_trace.csv";
   {
@@ -220,6 +250,12 @@ TEST(DynamicsPlan, TraceCsvErrorPaths) {
   EXPECT_NE(error.find("bad value"), std::string::npos);
   EXPECT_FALSE(write_and_parse("0.5,worker_crash,q,0").has_value());
   EXPECT_NE(error.find("bad target"), std::string::npos);
+  EXPECT_FALSE(write_and_parse("1e300,worker_crash,1,0").has_value());
+  EXPECT_NE(error.find("bad time"), std::string::npos);
+  EXPECT_FALSE(write_and_parse("nan,worker_crash,1,0").has_value());
+  EXPECT_NE(error.find("bad time"), std::string::npos);
+  EXPECT_FALSE(write_and_parse("0.5,loss_rate,*,inf").has_value());
+  EXPECT_NE(error.find("bad value"), std::string::npos);
 }
 
 TEST(DynamicsPlanDeathTest, ValidateRejectsMalformedFaultPlans) {

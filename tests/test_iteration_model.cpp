@@ -42,18 +42,32 @@ TEST(IterationModel, SampleIsJitteredButClose) {
   const IterationModel im{m, tesla_m60_pair(), 64, {}, 0.02};
   Rng rng{7};
   const IterationTiming nominal = im.nominal();
-  const IterationTiming sampled = im.sample(rng);
+  IterationTiming sampled;
+  im.sample(rng, sampled);
   EXPECT_NE(sampled.ready_offset, nominal.ready_offset);
   EXPECT_NEAR(sampled.backward_total().to_seconds(),
               nominal.backward_total().to_seconds(),
               0.1 * nominal.backward_total().to_seconds());
+
+  // Resampling into the same buffer overwrites every entry: the same draws
+  // reproduce the same timing.
+  const IterationTiming first = sampled;
+  im.sample(rng, sampled);
+  EXPECT_NE(sampled.fwd, first.fwd);
+  Rng replay{7};
+  im.sample(replay, sampled);
+  EXPECT_EQ(sampled.fwd, first.fwd);
+  EXPECT_EQ(sampled.bwd, first.bwd);
+  EXPECT_EQ(sampled.ready_offset, first.ready_offset);
 }
 
 TEST(IterationModel, ZeroJitterSampleEqualsNominal) {
   const ModelSpec m = toy_cnn();
   const IterationModel im{m, tesla_m60_pair(), 32, {}, 0.0};
   Rng rng{7};
-  EXPECT_EQ(im.sample(rng).ready_offset, im.nominal().ready_offset);
+  IterationTiming sampled;
+  im.sample(rng, sampled);
+  EXPECT_EQ(sampled.ready_offset, im.nominal().ready_offset);
 }
 
 TEST(IterationModel, ReadyOffsetsAreStepwiseNonIncreasing) {

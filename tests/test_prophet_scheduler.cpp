@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/prophet_scheduler.hpp"
+#include "task_helper.hpp"
 #include "testing_profiles.hpp"
 
 namespace prophet::core {
@@ -8,6 +9,7 @@ namespace {
 
 using namespace prophet::literals;
 using sched::TaskKind;
+using sched::take_task;
 using testing::fig5_profile;
 using testing::make_profile;
 using testing::simple_cost;
@@ -38,13 +40,13 @@ TEST(ProphetScheduler, RunsEngineDefaultWhileProfiling) {
   sched.enqueue(2, Bytes::mib(2), at(1));
   sched.enqueue(1, Bytes::mib(1), at(2));
   sched.enqueue(0, Bytes::kib(4), at(3));
-  const auto first = sched.next_task(at(3));
+  const auto first = take_task(sched, at(3));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->items[0].grad, 0u);  // most urgent first
   EXPECT_EQ(first->items[1].grad, 1u);  // grouped up to the credit
-  const auto second = sched.next_task(at(3));
+  const auto second = take_task(sched, at(3));
   EXPECT_EQ(second->items[0].grad, 2u);
-  EXPECT_FALSE(sched.next_task(at(3)).has_value());
+  EXPECT_FALSE(take_task(sched, at(3)).has_value());
   EXPECT_FALSE(sched.has_pending());
 }
 
@@ -58,7 +60,7 @@ TEST(ProphetScheduler, ProfileBuildsAfterConfiguredIterations) {
     if (sched.profile_ready()) break;
     sched.enqueue(1, Bytes::mib(1), at(static_cast<std::int64_t>(100 * iter + 10)));
     sched.enqueue(0, Bytes::mib(1), at(static_cast<std::int64_t>(100 * iter + 30)));
-    while (sched.next_task(at(static_cast<std::int64_t>(100 * iter + 30)))) {
+    while (take_task(sched, at(static_cast<std::int64_t>(100 * iter + 30)))) {
     }
   }
   EXPECT_TRUE(sched.profile_ready());
@@ -75,7 +77,7 @@ TEST(ProphetScheduler, AssemblesBlockWithinPredictedInterval) {
   sched.on_iteration_start(0, at(0));
   sched.enqueue(2, Bytes::mib(1), at(0));
   sched.enqueue(1, Bytes::mib(1), at(0));
-  const auto task = sched.next_task(at(0));
+  const auto task = take_task(sched, at(0));
   ASSERT_TRUE(task.has_value());
   // Both fit: 1 ms + 20 ms < 28.5 ms budget; one block, priority order.
   EXPECT_EQ(task->total_bytes(), Bytes::mib(2));
@@ -98,13 +100,13 @@ TEST(ProphetScheduler, Fig5PartialGradientBeforeGradientZero) {
   // Gradient 2 goes out as its own block (fits before 10 ms: 1 + 10 = 11 >
   // 10!? no: budget to gradient 1's generation is 10 ms, one partition is
   // 11 ms -> does not fit, but the no-starvation floor sends it anyway).
-  const auto first = sched.next_task(at(0));
+  const auto first = take_task(sched, at(0));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->items[0].grad, 2u);
 
   // At 11 ms gradient 1 (3 MiB) is ready; gradient 0 predicted at 30 ms.
   sched.enqueue(1, Bytes::mib(3), at(11));
-  const auto second = sched.next_task(at(11));
+  const auto second = take_task(sched, at(11));
   ASSERT_TRUE(second.has_value());
   // Budget 19 ms -> 1 ms overhead + 18 ms serialization ~= 1.8 MiB -> one
   // 1 MiB partition... with min_block=1 B the fit is computed exactly:
@@ -115,11 +117,11 @@ TEST(ProphetScheduler, Fig5PartialGradientBeforeGradientZero) {
 
   // Gradient 0 arrives; remaining work drains priority-first.
   sched.enqueue(0, Bytes::mib(1), at(30));
-  const auto third = sched.next_task(at(30));
+  const auto third = take_task(sched, at(30));
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(third->items[0].grad, 0u);
   // Then the rest of gradient 1.
-  const auto fourth = sched.next_task(at(45));
+  const auto fourth = take_task(sched, at(45));
   ASSERT_TRUE(fourth.has_value());
   EXPECT_EQ(fourth->items[0].grad, 1u);
   EXPECT_EQ(fourth->items[0].offset, Bytes::mib(1));
@@ -134,7 +136,7 @@ TEST(ProphetScheduler, NeverIdlesWithBackloggedQueue) {
   sched.on_iteration_start(0, at(0));
   sched.enqueue(2, Bytes::mib(8), at(0));
   sched.enqueue(1, Bytes::mib(8), at(0));
-  const auto task = sched.next_task(at(20));  // gradient 0 late
+  const auto task = take_task(sched, at(20));  // gradient 0 late
   ASSERT_TRUE(task.has_value());
   EXPECT_GE(task->total_bytes(), Bytes::mib(4));  // assembly floor
 }
@@ -150,12 +152,12 @@ TEST(ProphetScheduler, DrainModeGroupsUpToCap) {
   sched.enqueue(2, Bytes::mib(1), at(0));
   sched.enqueue(1, Bytes::mib(1), at(10));
   sched.enqueue(0, Bytes::mib(1), at(10));  // backward over -> drain mode
-  const auto first = sched.next_task(at(10));
+  const auto first = take_task(sched, at(10));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->total_bytes(), Bytes::mib(2));
   EXPECT_EQ(first->items[0].grad, 0u);
   EXPECT_EQ(first->items[1].grad, 1u);
-  const auto second = sched.next_task(at(40));
+  const auto second = take_task(sched, at(40));
   EXPECT_EQ(second->items[0].grad, 2u);
 }
 
@@ -169,7 +171,7 @@ TEST(ProphetScheduler, PullSideGroupsReadyParamsByPriority) {
   pull.enqueue(4, Bytes::mib(2), at(0));
   pull.enqueue(2, Bytes::mib(2), at(1));
   pull.enqueue(3, Bytes::mib(2), at(1));
-  const auto task = pull.next_task(at(2));
+  const auto task = take_task(pull, at(2));
   ASSERT_TRUE(task.has_value());
   EXPECT_EQ(task->total_bytes(), Bytes::mib(4));
   EXPECT_EQ(task->items.front().grad, 2u);
@@ -183,10 +185,10 @@ TEST(ProphetScheduler, ReplansEachIteration) {
     const std::int64_t base = 100 * iter;
     sched.on_iteration_start(static_cast<std::size_t>(iter), at(base));
     sched.enqueue(1, Bytes::mib(1), at(base));
-    const auto t1 = sched.next_task(at(base));
+    const auto t1 = take_task(sched, at(base));
     ASSERT_TRUE(t1.has_value()) << "iteration " << iter;
     sched.enqueue(0, Bytes::mib(1), at(base + 10));
-    const auto t2 = sched.next_task(at(base + 12));
+    const auto t2 = take_task(sched, at(base + 12));
     ASSERT_TRUE(t2.has_value());
     EXPECT_EQ(t2->items[0].grad, 0u);
     EXPECT_FALSE(sched.has_pending());

@@ -16,6 +16,7 @@
 #include "sched/mg_wfbp.hpp"
 #include "sched/p3.hpp"
 #include "sched/tictac.hpp"
+#include "task_helper.hpp"
 
 namespace prophet {
 namespace {
@@ -23,6 +24,7 @@ namespace {
 using namespace prophet::literals;
 using sched::CommScheduler;
 using sched::TaskKind;
+using sched::take_task;
 
 struct FuzzCase {
   std::string name;
@@ -115,7 +117,7 @@ TEST_P(SchedulerFuzz, ConservesBytesUnderRandomArrivalsAndPolls) {
         expected[g] = bytes.count();
         scheduler->enqueue(g, bytes, now);
       } else {
-        auto task = scheduler->next_task(now);
+        auto task = take_task(*scheduler, now);
         if (task.has_value()) {
           ASSERT_FALSE(task->items.empty()) << fuzz_case.name;
           for (const auto& item : task->items) {
@@ -129,7 +131,7 @@ TEST_P(SchedulerFuzz, ConservesBytesUnderRandomArrivalsAndPolls) {
       now += Duration::millis(rng.uniform_int(0, 6));
       if (next_arrival == pending_order.size() && !scheduler->has_pending()) {
         // Drain any hold-back (e.g. MG-WFBP age window) by polling forward.
-        auto residual = scheduler->next_task(now + 1_s);
+        auto residual = take_task(*scheduler, now + 1_s);
         if (!residual.has_value()) break;
         for (const auto& item : residual->items) {
           received[item.grad] += item.bytes.count();
@@ -162,7 +164,7 @@ TEST_P(SchedulerFuzz, PrioritySchedulersNeverInvertAcrossTasks) {
       scheduler->enqueue(g, Bytes::kib(rng.uniform_int(64, 1024)), now);
       queued.insert(g);
       if (rng.bernoulli(0.6)) {
-        const auto task = scheduler->next_task(now);
+        const auto task = take_task(*scheduler, now);
         ASSERT_TRUE(task.has_value());
         EXPECT_EQ(task->items.front().grad, *queued.begin()) << fuzz_case.name;
         for (const auto& item : task->items) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/time.hpp"
 #include "common/units.hpp"
 
@@ -22,6 +24,21 @@ TEST(Duration, FromSecondsRoundsToNearestNanosecond) {
   EXPECT_EQ(Duration::from_seconds(1.4e-9).count_nanos(), 1);
   EXPECT_EQ(Duration::from_seconds(1.6e-9).count_nanos(), 2);
   EXPECT_EQ(Duration::from_seconds(-1.6e-9).count_nanos(), -2);
+}
+
+TEST(Duration, FromSecondsAcceptsTheWholeNanosecondRange) {
+  // ~292 years either way fits int64 nanoseconds.
+  EXPECT_EQ(Duration::from_seconds(9.2e9).count_nanos(), 9'200'000'000'000'000'000);
+  EXPECT_EQ(Duration::from_seconds(-9.2e9).count_nanos(), -9'200'000'000'000'000'000);
+}
+
+TEST(DurationDeathTest, FromSecondsRejectsNonFiniteAndOutOfRange) {
+  const char* const msg = "seconds must be finite and within the int64 nanosecond range";
+  EXPECT_DEATH((void)Duration::from_seconds(std::numeric_limits<double>::quiet_NaN()), msg);
+  EXPECT_DEATH((void)Duration::from_seconds(std::numeric_limits<double>::infinity()), msg);
+  EXPECT_DEATH((void)Duration::from_seconds(-std::numeric_limits<double>::infinity()), msg);
+  EXPECT_DEATH((void)Duration::from_seconds(1e300), msg);
+  EXPECT_DEATH((void)Duration::from_seconds(9.3e9), msg);
 }
 
 TEST(Duration, Arithmetic) {

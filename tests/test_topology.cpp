@@ -71,6 +71,23 @@ TEST(TopologySpec, CliParsing) {
   EXPECT_FALSE(TopologySpec::from_cli("leaf-spine:2:x", &error).has_value());
 }
 
+TEST(TopologySpec, CliRejectsOverflowingCounts) {
+  // strtol saturates these at LONG_MAX; the parser must report them rather
+  // than hand the saturated count to the fabric builder.
+  std::string error;
+  EXPECT_FALSE(
+      TopologySpec::from_cli("leaf-spine:99999999999999999999", &error).has_value());
+  EXPECT_NE(error.find("bad rack count"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      TopologySpec::from_cli("leaf-spine:2:99999999999999999999", &error).has_value());
+  EXPECT_NE(error.find("bad hosts-per-rack"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      TopologySpec::from_cli("leaf-spine:-99999999999999999999", &error).has_value());
+  EXPECT_NE(error.find("bad rack count"), std::string::npos) << error;
+}
+
 TEST(TopologyRouting, IntraRackPathSkipsTheSpine) {
   Fixture f;
   BuiltTopology topo{f.net, TopologySpec::leaf_spine(2, 2, Bandwidth::gbps(10), 4.0)};
