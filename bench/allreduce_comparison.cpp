@@ -34,7 +34,7 @@ int run() {
       cfg.num_workers = 4;
       cfg.batch = 64;
       cfg.iterations = 30;
-      cfg.worker_bandwidth = Bandwidth::gbps(gbps);
+      cfg.topology = net::TopologySpec::star(Bandwidth::gbps(gbps), Bandwidth::gbps(10));
       cfg.strategy = contender.strategy;
       cfg.strategy.prophet_config.profile_iterations = 8;
       const auto result = ar::run_allreduce(cfg);

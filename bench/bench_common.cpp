@@ -119,8 +119,7 @@ ps::ClusterConfig paper_cluster(const dnn::ModelSpec& model, int batch,
   cfg.model = model;
   cfg.batch = batch;
   cfg.num_workers = workers;
-  cfg.worker_bandwidth = worker_bw;
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(worker_bw, Bandwidth::gbps(10));
   cfg.strategy = std::move(strategy);
   cfg.iterations = iterations;
   // Keep the profiling phase short relative to bench length; its cost is

@@ -70,8 +70,7 @@ ps::ClusterConfig star_config(std::size_t workers, std::size_t iterations,
   cfg.batch = 32;
   cfg.iterations = iterations;
   cfg.seed = seed;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.rate_rebalance = mode;
   cfg.metrics_horizon = Duration::seconds(3600);

@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     cfg.model = dnn::model_by_name(model_name);
     cfg.batch = batch;
     cfg.num_workers = workers;
-    cfg.worker_bandwidth = Bandwidth::gbps(gbps);
-    cfg.ps_bandwidth = Bandwidth::gbps(10);
+    cfg.topology = net::TopologySpec::star(Bandwidth::gbps(gbps), Bandwidth::gbps(10));
     cfg.iterations = 40;
     cfg.strategy = contender.strategy;
     cfg.strategy.prophet_config.profile_iterations = 8;

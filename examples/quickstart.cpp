@@ -15,8 +15,7 @@ int main() {
   config.model = dnn::resnet50();
   config.batch = 64;
   config.num_workers = 3;
-  config.worker_bandwidth = Bandwidth::gbps(3);
-  config.ps_bandwidth = Bandwidth::gbps(10);
+  config.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   config.iterations = 40;
 
   // 2. Pick the communication scheduling strategy. Prophet profiles the

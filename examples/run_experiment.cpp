@@ -56,7 +56,9 @@ void usage() {
       "  --gbps X           worker/host NIC rate in Gbit/s (default 3)\n"
       "  --ps-gbps X        PS NIC rate (default 10; star topology only)\n"
       "  --topology SPEC    star | leaf-spine[:RACKS[:HOSTS_PER_RACK]]\n"
-      "                     (default star; leaf-spine defaults to 2 racks x 4)\n"
+      "                     (default star; leaf-spine defaults to 2 racks x 4,\n"
+      "                     at most 65536 racks, 65536 hosts per rack and\n"
+      "                     1048576 hosts)\n"
       "  --oversub X        leaf-spine oversubscription ratio (default 4)\n"
       "\nsharded parameter server (PS only):\n"
       "  --ps-shards N      stripe the key space over N PS hosts (key k on\n"
@@ -115,25 +117,24 @@ int main(int argc, char** argv) {
                     "--batch is too large");
   cfg.batch = static_cast<int>(batch);
   cfg.num_workers = flags->get_count("workers", 3);
-  cfg.worker_bandwidth = Bandwidth::gbps(flags->get("gbps", 3.0));
-  cfg.ps_bandwidth = Bandwidth::gbps(flags->get("ps-gbps", 10.0));
-  // --topology switches the config to the explicit TopologySpec API; without
-  // it the legacy flat-bandwidth star shims stay in effect.
+  // --gbps is the worker NIC rate on a star and every host's on a
+  // leaf-spine; --ps-gbps applies to the star only.
+  const Bandwidth host_bw = Bandwidth::gbps(flags->get("gbps", 3.0));
+  cfg.topology =
+      net::TopologySpec::star(host_bw, Bandwidth::gbps(flags->get("ps-gbps", 10.0)));
   if (flags->has("topology")) {
     std::string topo_error;
-    auto spec = net::TopologySpec::from_cli(
+    const auto spec = net::TopologySpec::from_cli(
         flags->get("topology", std::string{"star"}), &topo_error);
     if (!spec.has_value()) {
       std::fprintf(stderr, "%s\n", topo_error.c_str());
       return 1;
     }
-    if (spec->kind == net::TopologySpec::Kind::kStar) {
-      *spec = net::TopologySpec::star(cfg.worker_bandwidth, cfg.ps_bandwidth);
-    } else {
-      spec->host_bandwidth = cfg.worker_bandwidth;
-      spec->oversubscription = flags->get("oversub", 4.0);
+    if (spec->kind == net::TopologySpec::Kind::kLeafSpine) {
+      cfg.topology = *spec;
+      cfg.topology.host_bandwidth = host_bw;
+      cfg.topology.oversubscription = flags->get("oversub", 4.0);
     }
-    cfg.topology = *spec;
   }
   cfg.ps_shards = flags->get_count("ps-shards", 1);
   cfg.iterations = flags->get_count("iterations", 40);
@@ -192,7 +193,7 @@ int main(int argc, char** argv) {
   const std::string arch = flags->get("arch", std::string{"ps"});
   std::printf("%s | %s | %zu workers | %s | batch %d | %zu iterations",
               arch.c_str(), cfg.model.name().c_str(), cfg.num_workers,
-              format_bandwidth(cfg.worker_bandwidth).c_str(), cfg.batch,
+              format_bandwidth(host_bw).c_str(), cfg.batch,
               cfg.iterations);
   if (!cfg.dynamics.empty()) {
     std::printf(" | %zu dynamics events", cfg.dynamics.events.size());
@@ -237,7 +238,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     cluster::MultiJobConfig mcfg;
-    mcfg.topology = cfg.resolved_topology();
+    mcfg.topology = cfg.topology;
     mcfg.placement = *placement;
     mcfg.interleave = *interleave;
     for (std::size_t j = 0; j < jobs; ++j) {

@@ -26,7 +26,7 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   const net::TcpCostModel cost{cfg.tcp};
   net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
   network.set_verify_rates(cfg.verify_rates);
-  net::BuiltTopology topology{network, cfg.resolved_topology()};
+  net::BuiltTopology topology{network, cfg.topology};
 
   std::vector<net::NodeId> nodes;
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {

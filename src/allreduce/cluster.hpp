@@ -18,10 +18,10 @@ namespace prophet::ar {
 using AllReduceResult = ps::ClusterResult;
 
 // Reuses the PS ClusterConfig (model / batch / topology / strategy /
-// iterations); the ring members are placed on cfg.resolved_topology() like
-// PS workers. PS-specific fields (ps_bandwidth, ps_shards, update costs,
-// sync mode) are ignored. Aborts on an invalid config, on fewer than two
-// workers and on a non-empty dynamics plan, which the ring cannot apply.
+// iterations); the ring members are placed on cfg.topology like PS workers.
+// PS-specific fields (the PS NIC rate, ps_shards, update costs, sync mode)
+// are ignored. Aborts on an invalid config, on fewer than two workers and on
+// a non-empty dynamics plan, which the ring cannot apply.
 AllReduceResult run_allreduce(const ps::ClusterConfig& config,
                               std::optional<std::size_t> measure_first = {});
 

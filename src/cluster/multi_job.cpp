@@ -32,7 +32,7 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
   std::vector<std::unique_ptr<ps::JobRuntime>> jobs;
   for (std::size_t j = 0; j < config.jobs.size(); ++j) {
     ps::ClusterConfig cfg = config.jobs[j].config;
-    // The fabric is the driver's: per-job topology/bandwidth fields are
+    // The fabric is the driver's: the job's topology and overrides are
     // replaced so validate() and bandwidth_of_worker agree with it.
     cfg.topology = config.topology;
     cfg.worker_bandwidth_override.clear();

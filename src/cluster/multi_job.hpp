@@ -58,9 +58,10 @@ struct MultiJobResult {
 };
 
 // Places, interleaves and runs every job to completion. Aborts if the jobs
-// exceed fabric capacity or any job misses the horizon. Per-job ClusterConfig
-// topology/bandwidth fields are overridden by `config.topology`; the fabric's
-// TCP cost model comes from the first job.
+// exceed fabric capacity or any job misses the horizon. Every NIC rate comes
+// from `config.topology`: each job's own topology is replaced and its
+// worker_bandwidth_override dropped. The fabric's TCP cost model comes from
+// the first job.
 MultiJobResult run_multi_job(const MultiJobConfig& config);
 
 }  // namespace prophet::cluster

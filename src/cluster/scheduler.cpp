@@ -137,11 +137,8 @@ PhaseEstimate estimate_phases(const net::TopologySpec& topology,
   const double workers = static_cast<double>(config.num_workers);
   // The PS NIC serializes every worker's push (incast); it bounds the comm
   // phase even with a quiet spine.
-  const Bandwidth ps_nic = topology.kind == net::TopologySpec::Kind::kStar
-                               ? config.resolved_topology().ps_bandwidth
-                               : topology.host_bandwidth;
   Duration comm = Duration::from_seconds(
-      workers * static_cast<double>(bytes) / ps_nic.bytes_per_second());
+      workers * static_cast<double>(bytes) / topology.ps_nic().bytes_per_second());
   const std::size_t cross = placement.cross_rack_workers();
   if (cross > 0) {
     est.spine_bytes_per_iter = static_cast<std::int64_t>(cross) * bytes;

@@ -46,8 +46,8 @@ enum class InterleavePolicy {
 [[nodiscard]] std::optional<InterleavePolicy> interleave_from_name(
     const std::string& name);
 
-// One job submitted to the shared fabric. The job's own ClusterConfig
-// topology/bandwidth fields are ignored — the fabric is the driver's.
+// One job submitted to the shared fabric. The job's own topology and NIC
+// overrides are ignored — the fabric is the driver's.
 struct JobSpec {
   ps::ClusterConfig config;
   std::string name;  // defaults to "job<index>"

@@ -8,13 +8,11 @@
 
 namespace prophet::net {
 
-TopologySpec TopologySpec::star(Bandwidth worker_bw, Bandwidth ps_bw,
-                                std::vector<Bandwidth> worker_override) {
+TopologySpec TopologySpec::star(Bandwidth worker_bw, Bandwidth ps_bw) {
   TopologySpec s;
   s.kind = Kind::kStar;
   s.worker_bandwidth = worker_bw;
   s.ps_bandwidth = ps_bw;
-  s.worker_bandwidth_override = std::move(worker_override);
   return s;
 }
 
@@ -56,15 +54,17 @@ void TopologySpec::validate() const {
                         "star topology needs positive worker bandwidth");
       PROPHET_CHECK_MSG(!ps_bandwidth.is_zero(),
                         "star topology needs positive PS bandwidth");
-      for (const Bandwidth& bw : worker_bandwidth_override) {
-        PROPHET_CHECK_MSG(!bw.is_zero(),
-                          "worker bandwidth override entries must be positive");
-      }
       break;
     case Kind::kLeafSpine:
       PROPHET_CHECK_MSG(racks > 0, "leaf-spine topology needs at least one rack");
       PROPHET_CHECK_MSG(hosts_per_rack > 0,
                         "leaf-spine topology needs at least one host per rack");
+      PROPHET_CHECK_MSG(racks <= kMaxRacks,
+                        "leaf-spine topology has more than 65536 racks");
+      PROPHET_CHECK_MSG(hosts_per_rack <= kMaxHostsPerRack,
+                        "leaf-spine topology has more than 65536 hosts per rack");
+      PROPHET_CHECK_MSG(racks * hosts_per_rack <= kMaxHosts,
+                        "leaf-spine topology has more than 1048576 hosts");
       PROPHET_CHECK_MSG(!host_bandwidth.is_zero(),
                         "leaf-spine topology needs positive host bandwidth");
       PROPHET_CHECK_MSG(oversubscription > 0.0,
@@ -91,8 +91,9 @@ std::optional<TopologySpec> TopologySpec::from_cli(const std::string& spec,
     char* end = nullptr;
     errno = 0;
     const long racks = std::strtol(rest.c_str(), &end, 10);
-    if (end == rest.c_str() || errno == ERANGE || racks <= 0) {
-      if (error) *error = "bad rack count in topology '" + spec + "'";
+    if (end == rest.c_str() || errno == ERANGE || racks <= 0 ||
+        static_cast<unsigned long>(racks) > kMaxRacks) {
+      if (error) *error = "bad rack count in topology '" + spec + "' (1..65536)";
       return std::nullopt;
     }
     s.racks = static_cast<std::size_t>(racks);
@@ -104,11 +105,16 @@ std::optional<TopologySpec> TopologySpec::from_cli(const std::string& spec,
     const char* hosts_str = end + 1;
     errno = 0;
     const long hosts = std::strtol(hosts_str, &end, 10);
-    if (end == hosts_str || *end != '\0' || errno == ERANGE || hosts <= 0) {
-      if (error) *error = "bad hosts-per-rack in topology '" + spec + "'";
+    if (end == hosts_str || *end != '\0' || errno == ERANGE || hosts <= 0 ||
+        static_cast<unsigned long>(hosts) > kMaxHostsPerRack) {
+      if (error) *error = "bad hosts-per-rack in topology '" + spec + "' (1..65536)";
       return std::nullopt;
     }
     s.hosts_per_rack = static_cast<std::size_t>(hosts);
+    if (s.racks * s.hosts_per_rack > kMaxHosts) {
+      if (error) *error = "too many hosts in topology '" + spec + "' (at most 1048576)";
+      return std::nullopt;
+    }
     return s;
   }
   if (error) {

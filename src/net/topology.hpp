@@ -38,11 +38,10 @@ struct TopologySpec {
   Kind kind = Kind::kStar;
 
   // --- star parameters (ignored for leaf-spine) ---------------------------
-  // Uniform worker NIC rate; `worker_bandwidth_override` entries (indexed by
-  // worker) replace it for heterogeneous clusters (Sec. 5.3).
+  // Uniform worker NIC rate (ClusterConfig::worker_bandwidth_override can
+  // replace it per worker for heterogeneous clusters, Sec. 5.3).
   Bandwidth worker_bandwidth = Bandwidth::gbps(10);
   Bandwidth ps_bandwidth = Bandwidth::gbps(10);
-  std::vector<Bandwidth> worker_bandwidth_override;
 
   // --- leaf-spine parameters (ignored for star) ---------------------------
   std::size_t racks = 2;
@@ -55,9 +54,13 @@ struct TopologySpec {
   // oversubscribed datacenter leaf.
   double oversubscription = 4.0;
 
+  // Leaf-spine bounds (the fabric builder materializes every rack up front).
+  static constexpr std::size_t kMaxRacks = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxHostsPerRack = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxHosts = std::size_t{1} << 20;
+
   // --- presets ------------------------------------------------------------
-  static TopologySpec star(Bandwidth worker_bw, Bandwidth ps_bw,
-                           std::vector<Bandwidth> worker_override = {});
+  static TopologySpec star(Bandwidth worker_bw, Bandwidth ps_bw);
   static TopologySpec leaf_spine(std::size_t racks, std::size_t hosts_per_rack,
                                  Bandwidth host_bw, double oversubscription);
 
@@ -66,9 +69,16 @@ struct TopologySpec {
   // unbounded).
   [[nodiscard]] std::size_t host_capacity() const;
   [[nodiscard]] const char* kind_name() const;
+  // NIC rates of a PS and a worker host; a leaf-spine's hosts all share one.
+  [[nodiscard]] Bandwidth ps_nic() const {
+    return kind == Kind::kLeafSpine ? host_bandwidth : ps_bandwidth;
+  }
+  [[nodiscard]] Bandwidth worker_nic() const {
+    return kind == Kind::kLeafSpine ? host_bandwidth : worker_bandwidth;
+  }
 
-  // Aborts with a clear message on a malformed spec (zero racks/hosts,
-  // non-positive rates or oversubscription, a zero override entry).
+  // Aborts with a clear message on a malformed spec (zero or too many
+  // racks/hosts, non-positive rates or oversubscription).
   void validate() const;
 
   // Parses "star" | "leaf-spine[:RACKS[:HOSTS_PER_RACK]]" (CLI spelling);

@@ -63,7 +63,7 @@ ClusterResult run_cluster(const ClusterConfig& config,
   sim::Simulator sim;
   net::FlowNetwork network{sim, net::TcpCostModel{config.tcp}, config.rate_rebalance};
   network.set_verify_rates(config.verify_rates);
-  net::BuiltTopology topology{network, config.resolved_topology()};
+  net::BuiltTopology topology{network, config.topology};
 
   std::vector<std::unique_ptr<JobRuntime>> jobs;
   jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, config));

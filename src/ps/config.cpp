@@ -17,11 +17,14 @@ void ClusterConfig::validate() const {
                     "tensors — shards beyond tensor_count() would own no "
                     "keys; lower --ps-shards");
   PROPHET_CHECK_MSG(jitter_sigma >= 0.0, "ClusterConfig: jitter_sigma must be >= 0");
-  const net::TopologySpec topo = resolved_topology();
-  topo.validate();
-  if (topo.kind == net::TopologySpec::Kind::kStar) {
-    PROPHET_CHECK_MSG(topo.worker_bandwidth_override.size() <= num_workers,
+  topology.validate();
+  if (topology.kind == net::TopologySpec::Kind::kStar) {
+    PROPHET_CHECK_MSG(worker_bandwidth_override.size() <= num_workers,
                       "ClusterConfig: worker_bandwidth_override longer than num_workers");
+    for (const Bandwidth& bw : worker_bandwidth_override) {
+      PROPHET_CHECK_MSG(!bw.is_zero(), "ClusterConfig: worker_bandwidth_override "
+                                       "entries must be positive");
+    }
   } else {
     // An explicit non-star fabric has uniform host NICs; per-worker override
     // entries would silently lose against it, so the ambiguity is rejected.
@@ -30,7 +33,7 @@ void ClusterConfig::validate() const {
                       "with a non-star TopologySpec; set host_bandwidth on the "
                       "topology instead");
     // The fabric must seat every worker plus one host per PS shard.
-    PROPHET_CHECK_MSG(topo.host_capacity() >= num_workers + ps_shards,
+    PROPHET_CHECK_MSG(topology.host_capacity() >= num_workers + ps_shards,
                       "ClusterConfig: topology rack capacity cannot hold "
                       "num_workers + ps_shards PS hosts");
   }

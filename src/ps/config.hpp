@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -65,20 +64,13 @@ struct ClusterConfig {
   // bit-identical to the historical single-PS cluster.
   std::size_t ps_shards = 1;
 
-  // Network fabric the cluster runs on. When unset, the three legacy
-  // bandwidth fields below are folded into a TopologySpec::star — today's
-  // semantics, bit for bit. Set it explicitly for leaf-spine fabrics (and
-  // for new star configs: the flat fields are the deprecated spelling, kept
-  // as shims until their callers move).
-  std::optional<net::TopologySpec> topology;
-
-  // DEPRECATED: use `topology` (TopologySpec::star(...)). Consulted only
-  // when `topology` is unset. Uniform worker NIC rate; entries in
-  // `worker_bandwidth_override` (indexed by worker) replace it for
-  // heterogeneous clusters (Sec. 5.3).
-  Bandwidth worker_bandwidth = Bandwidth::gbps(10);
+  // Network fabric the cluster runs on: a star (the default, 10 Gbps
+  // workers and PS) or a leaf-spine.
+  net::TopologySpec topology;
+  // Per-worker NIC rates on a star (Sec. 5.3 heterogeneous clusters): entry
+  // w replaces topology.worker_bandwidth for worker w; workers past its end
+  // keep the uniform rate. validate() refuses it on a leaf-spine fabric.
   std::vector<Bandwidth> worker_bandwidth_override;
-  Bandwidth ps_bandwidth = Bandwidth::gbps(10);
 
   // Rate-rebalance engine for the shared FlowNetwork: kIncremental (default)
   // rebalances only the contention component a change touches; kFull re-runs
@@ -102,29 +94,20 @@ struct ClusterConfig {
   Duration metrics_bin = Duration::millis(250);
   Duration metrics_horizon = Duration::seconds(900);
 
-  // The fabric actually in effect: `topology` when set, else a star built
-  // from the deprecated flat fields.
-  [[nodiscard]] net::TopologySpec resolved_topology() const {
-    if (topology.has_value()) return *topology;
-    return net::TopologySpec::star(worker_bandwidth, ps_bandwidth,
-                                   worker_bandwidth_override);
-  }
+  // The fabric; perfbench reads it through this accessor.
+  [[nodiscard]] const net::TopologySpec& resolved_topology() const { return topology; }
 
+  // Worker w's NIC rate: its override entry, if any, else the fabric's.
   [[nodiscard]] Bandwidth bandwidth_of_worker(std::size_t w) const {
-    const net::TopologySpec t = resolved_topology();
-    if (t.kind == net::TopologySpec::Kind::kLeafSpine) return t.host_bandwidth;
-    if (w < t.worker_bandwidth_override.size() &&
-        !t.worker_bandwidth_override[w].is_zero()) {
-      return t.worker_bandwidth_override[w];
-    }
-    return t.worker_bandwidth;
+    if (w < worker_bandwidth_override.size()) return worker_bandwidth_override[w];
+    return topology.worker_nic();
   }
 
   // Single validation entry point, called by every driver: aborts
   // with a clear message on a misconfiguration (zero workers, too few
   // iterations, non-positive bandwidths or update rate, an override vector
-  // longer than the cluster, a malformed dynamics plan, ...) instead of
-  // silently simulating nonsense.
+  // longer than the cluster or with a zero entry, a malformed dynamics
+  // plan, ...) instead of silently simulating nonsense.
   void validate() const;
 };
 

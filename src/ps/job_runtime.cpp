@@ -27,8 +27,7 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
     const std::string name =
         cfg.ps_shards == 1 ? "ps" : "ps" + std::to_string(s);
     ps_nodes_.push_back(topology.add_host(options_.name_prefix + name,
-                                          node_base_bandwidth(/*is_ps=*/true, 0),
-                                          options_.ps_rack));
+                                          cfg.topology.ps_nic(), options_.ps_rack));
   }
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
     std::optional<std::size_t> rack;
@@ -91,12 +90,6 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
     workers_.push_back(
         std::make_unique<Worker>(sim_, network_, params, root.fork(w)));
   }
-}
-
-Bandwidth JobRuntime::node_base_bandwidth(bool is_ps, std::size_t w) const {
-  const net::TopologySpec spec = config_.resolved_topology();
-  if (spec.kind == net::TopologySpec::Kind::kLeafSpine) return spec.host_bandwidth;
-  return is_ps ? spec.ps_bandwidth : config_.bandwidth_of_worker(w);
 }
 
 void JobRuntime::start() {
@@ -181,7 +174,7 @@ void JobRuntime::apply_event(const net::DynamicsEvent& ev) {
     case Type::kBandwidthScale:
     case Type::kBandwidthSet:
       if (ev.target_ps) {
-        const Bandwidth base = node_base_bandwidth(/*is_ps=*/true, 0);
+        const Bandwidth base = config_.topology.ps_nic();
         const Bandwidth cap =
             ev.type == Type::kBandwidthSet ? ev.bandwidth : base * ev.factor;
         for_each_ps_node([&](net::NodeId node) {
@@ -190,7 +183,7 @@ void JobRuntime::apply_event(const net::DynamicsEvent& ev) {
         });
       } else {
         for_each_worker([&](std::size_t w) {
-          const Bandwidth base = node_base_bandwidth(/*is_ps=*/false, w);
+          const Bandwidth base = config_.bandwidth_of_worker(w);
           const Bandwidth cap =
               ev.type == Type::kBandwidthSet ? ev.bandwidth : base * ev.factor;
           network_.set_capacity(worker_nodes_[w], net::Direction::kTx, cap);

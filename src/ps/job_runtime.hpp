@@ -110,7 +110,6 @@ class JobRuntime {
 
  private:
   void apply_event(const net::DynamicsEvent& ev);
-  [[nodiscard]] Bandwidth node_base_bandwidth(bool is_ps, std::size_t w) const;
 
   sim::Simulator& sim_;
   net::FlowNetwork& network_;

@@ -11,10 +11,9 @@ MgWfbpScheduler::MgWfbpScheduler(TaskKind kind, MgWfbpConfig config)
 }
 
 void MgWfbpScheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint now) {
-  PROPHET_CHECK(bytes.count() > 0);
-  const bool inserted = buffer_.emplace(grad, Entry{bytes, now}).second;
-  PROPHET_CHECK_MSG(inserted, "tensor enqueued twice");
-  buffered_ += bytes;
+  buffer_.add(grad, bytes);
+  if (grad >= enqueued_.size()) enqueued_.resize(grad + 1);
+  enqueued_[grad] = now;
 }
 
 bool MgWfbpScheduler::fill_task(TimePoint now, TransferTask& task) {
@@ -22,19 +21,15 @@ bool MgWfbpScheduler::fill_task(TimePoint now, TransferTask& task) {
   // Merge condition: enough bytes buffered, or the most urgent buffered
   // tensor has waited long enough that holding it back costs more than the
   // startup saving.
-  const bool size_ready = buffered_ >= config_.merge_bytes;
-  const bool age_ready = now - buffer_.begin()->second.enqueued >= config_.max_delay;
+  const bool size_ready = buffer_.queued_bytes() >= config_.merge_bytes;
+  const bool age_ready = now - enqueued_[buffer_.head_grad()] >= config_.max_delay;
   if (!size_ready && !age_ready) return false;
 
-  Bytes taken{};
-  auto it = buffer_.begin();
-  while (it != buffer_.end() && taken < config_.merge_bytes) {
-    task.items.push_back(
-        TransferItem{it->first, Bytes::zero(), it->second.bytes, true});
-    taken += it->second.bytes;
-    it = buffer_.erase(it);
+  Bytes taken{};  // a zero budget pops exactly one whole tensor
+  while (!buffer_.empty() && taken < config_.merge_bytes) {
+    buffer_.pop(Bytes::zero(), task.items);
+    taken += task.items.back().bytes;
   }
-  buffered_ -= taken;
   return true;
 }
 

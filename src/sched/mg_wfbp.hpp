@@ -12,8 +12,9 @@
 // extended comparison bench.
 #pragma once
 
-#include <map>
+#include <vector>
 
+#include "sched/partition_queue.hpp"
 #include "sched/scheduler.hpp"
 
 namespace prophet::sched {
@@ -32,10 +33,7 @@ class MgWfbpScheduler final : public CommScheduler {
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
   void on_task_done(const TransferTask& task, TimePoint started,
                     TimePoint finished) override;
-  void on_recovery(TimePoint) override {
-    buffer_.clear();
-    buffered_ = Bytes::zero();
-  }
+  void on_recovery(TimePoint) override { buffer_.clear(); }
   [[nodiscard]] bool has_pending() const override { return !buffer_.empty(); }
   [[nodiscard]] std::string name() const override { return "mg-wfbp"; }
 
@@ -43,12 +41,10 @@ class MgWfbpScheduler final : public CommScheduler {
   bool fill_task(TimePoint now, TransferTask& task) override;
 
   MgWfbpConfig config_;
-  struct Entry {
-    Bytes bytes;
-    TimePoint enqueued;
-  };
-  std::map<std::size_t, Entry> buffer_;  // priority-ordered
-  Bytes buffered_{};
+  // Whole tensors in priority order, and each gradient's enqueue time (for
+  // the age rule), indexed by gradient and grown on demand.
+  PartitionQueue buffer_{PartitionQueue::kWholeTensor};
+  std::vector<TimePoint> enqueued_;
 };
 
 }  // namespace prophet::sched

@@ -22,8 +22,9 @@ void PartitionQueue::add(std::size_t grad, Bytes bytes) {
   Tensor& tensor = tensors_[grad];
   PROPHET_CHECK_MSG(tensor.total == 0, "tensor enqueued twice");
   tensor = Tensor{0, bytes.count()};
+  // ceil(bytes / pb) for bytes > 0; `bytes + pb - 1` overflows at kWholeTensor.
   const std::int64_t pb = partition_bytes_.count();
-  partitions_ += static_cast<std::size_t>((bytes.count() + pb - 1) / pb);
+  partitions_ += static_cast<std::size_t>((bytes.count() - 1) / pb + 1);
   queued_ += bytes;
   heap_.push_back(grad);
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});

@@ -1,7 +1,8 @@
 // Priority-ordered queue of tensor partitions, shared by the P3,
-// ByteScheduler and Prophet schedulers: tensors are sliced into fixed-size
-// partitions and popped most-urgent-first (smallest gradient index, then
-// ascending offset within a tensor).
+// ByteScheduler, Prophet, TicTac and MG-WFBP schedulers: tensors are sliced
+// into fixed-size partitions and popped most-urgent-first (smallest gradient
+// index, then ascending offset within a tensor). A partition size of
+// kWholeTensor never slices, so every tensor is one partition.
 //
 // The queue holds one entry per queued tensor, not one per partition: a
 // per-gradient table records each tensor's unsent byte range and a min-heap
@@ -12,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -22,6 +24,9 @@ namespace prophet::sched {
 
 class PartitionQueue {
  public:
+  static constexpr Bytes kWholeTensor =
+      Bytes::of(std::numeric_limits<std::int64_t>::max());
+
   explicit PartitionQueue(Bytes partition_bytes);
 
   // Enqueues tensor `grad` of `bytes`, to be sliced into partitions. Aborts
@@ -34,7 +39,8 @@ class PartitionQueue {
   // Total bytes currently queued.
   [[nodiscard]] Bytes queued_bytes() const { return queued_; }
 
-  // Size of the most urgent queued partition.
+  // Gradient (queue not empty) and size of the most urgent queued partition.
+  [[nodiscard]] std::size_t head_grad() const { return heap_.front(); }
   [[nodiscard]] std::optional<Bytes> peek_bytes() const;
 
   // Pops partitions in priority order until `budget` is exhausted, appending

@@ -7,8 +7,7 @@
 // (Sec. 6.1 of the paper groups TicTac with P3 on that point).
 #pragma once
 
-#include <map>
-
+#include "sched/partition_queue.hpp"
 #include "sched/scheduler.hpp"
 
 namespace prophet::sched {
@@ -29,8 +28,8 @@ class TicTacScheduler final : public CommScheduler {
   bool fill_task(TimePoint now, TransferTask& task) override;
 
   Duration blocking_ack_;
-  // Whole tensors keyed by priority.
-  std::map<std::size_t, Bytes> queue_;
+  // Whole tensors in priority order.
+  PartitionQueue queue_{PartitionQueue::kWholeTensor};
 };
 
 }  // namespace prophet::sched

@@ -296,7 +296,7 @@ inline ps::ClusterConfig golden_cluster_config(const ps::StrategyConfig& strateg
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = 10;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.rate_rebalance = mode;

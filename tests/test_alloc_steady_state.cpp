@@ -12,13 +12,15 @@
 // With one heap map node per queued partition, a vector per scheduler task,
 // a copied item vector per sub-flow closure, a std::map of gradient groups
 // per backward pass and heap-stored closures, this cost was 1466-2559
-// allocations per worker-iteration. With reused task buffers, a flat
-// partition queue and closures that fit std::function's inline buffer, every
-// strategy here measures 0.67 (32 extra allocations over 48 extra
-// worker-iterations, all amortized growth of telemetry series); the bound keeps
-// under 2x headroom over that.
+// allocations per worker-iteration (322 for TicTac and MG-WFBP, with one
+// std::map node per queued tensor). With reused task buffers, a flat
+// partition queue and closures that fit std::function's inline buffer, fifo,
+// p3, bytescheduler and prophet measure 0.67 (32 extra allocations over 48
+// extra worker-iterations, all amortized growth of telemetry series); the
+// bound keeps under 2x headroom over that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -79,8 +81,7 @@ ClusterConfig resnet50_b64(StrategyConfig strategy, std::size_t iterations) {
   cfg.batch = 64;
   cfg.iterations = iterations;
   cfg.seed = 7;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
@@ -118,9 +119,13 @@ TEST_P(SteadyStateAllocations, PerWorkerIterationStaysSmall) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SteadyStateAllocations,
-                         ::testing::Values("fifo", "p3", "bytescheduler", "prophet"),
+                         ::testing::Values("fifo", "p3", "bytescheduler", "prophet",
+                                           "tictac", "mg-wfbp"),
                          [](const ::testing::TestParamInfo<const char*>& param) {
-                           return std::string{param.param};
+                           // Test names allow only alphanumerics and '_'.
+                           std::string name{param.param};
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 }  // namespace

@@ -136,7 +136,7 @@ ps::ClusterConfig ar_config(ps::StrategyConfig strategy, double gbps = 2.0) {
   cfg.num_workers = 3;
   cfg.batch = 32;
   cfg.iterations = 14;
-  cfg.worker_bandwidth = Bandwidth::gbps(gbps);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(gbps), Bandwidth::gbps(10));
   cfg.strategy = std::move(strategy);
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;

@@ -23,8 +23,7 @@ ClusterConfig small_config(StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
@@ -142,21 +141,23 @@ TEST(ClusterIntegration, HigherBandwidthNeverHurts) {
                         ? StrategyConfig::fifo()
                         : StrategyConfig::prophet();
     auto slow = small_config(strategy);
-    slow.worker_bandwidth = Bandwidth::mbps(200);
-    slow.ps_bandwidth = Bandwidth::mbps(200);
+    slow.topology =
+        net::TopologySpec::star(Bandwidth::mbps(200), Bandwidth::mbps(200));
     auto fast = small_config(strategy);
-    fast.worker_bandwidth = Bandwidth::gbps(10);
-    fast.ps_bandwidth = Bandwidth::gbps(10);
+    fast.topology =
+        net::TopologySpec::star(Bandwidth::gbps(10), Bandwidth::gbps(10));
     EXPECT_GT(run_cluster(fast, 6).mean_rate() * 1.02,
               run_cluster(slow, 6).mean_rate());
   }
 }
 
 TEST(ClusterIntegration, HeterogeneousWorkerSlowsEveryone) {
-  // BSP: the 100 Mbps straggler gates the whole cluster (Sec. 5.3).
+  // BSP: the 100 Mbps straggler gates the whole cluster (Sec. 5.3). The
+  // fabric is an explicit star, and the override must still apply to it.
   auto uniform = small_config(StrategyConfig::prophet());
   auto hetero = uniform;
   hetero.worker_bandwidth_override = {Bandwidth::mbps(100)};
+  ASSERT_EQ(hetero.topology.kind, net::TopologySpec::Kind::kStar);
   const auto fast = run_cluster(uniform, 6);
   const auto slow = run_cluster(hetero, 6);
   EXPECT_LT(slow.mean_rate(), fast.mean_rate());
@@ -211,8 +212,7 @@ ClusterConfig star_config(std::size_t workers) {
   cfg.batch = 32;
   cfg.iterations = 3;
   cfg.seed = 42;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(10));
   cfg.strategy = StrategyConfig::fifo();
   return cfg;
 }
@@ -260,7 +260,7 @@ TEST(ClusterIntegrationDeathTest, SecondCollectAborts) {
   const ClusterConfig cfg = star_config(4);
   sim::Simulator sim;
   net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}, cfg.rate_rebalance};
-  net::BuiltTopology topology{network, cfg.resolved_topology()};
+  net::BuiltTopology topology{network, cfg.topology};
   std::vector<std::unique_ptr<JobRuntime>> jobs;
   jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg));
   run_jobs(sim, jobs, TimePoint::origin() + cfg.metrics_horizon);

@@ -331,7 +331,7 @@ TEST(ClusterConfigDeathTest, ValidateRejectsBadConfigs) {
   }
   {
     ps::ClusterConfig cfg;
-    cfg.worker_bandwidth = Bandwidth::zero();
+    cfg.topology.worker_bandwidth = Bandwidth::zero();
     EXPECT_DEATH(cfg.validate(), "worker_bandwidth");
   }
   {
@@ -377,8 +377,7 @@ ps::ClusterConfig small_config(ps::StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;

@@ -36,8 +36,7 @@ TEST(EngineValidation, PerfModelSpanTracksSimulatedIterationTime) {
   cfg.batch = 64;
   cfg.iterations = 12;
   cfg.jitter_sigma = 0.0;
-  cfg.worker_bandwidth = Bandwidth::gbps(2);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(2), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::tictac();
   cfg.strategy.blocking_ack = Duration::zero();
   const auto result = ps::run_cluster(cfg, 4);
@@ -56,7 +55,7 @@ TEST(EngineValidation, PerfModelSpanTracksSimulatedIterationTime) {
   profile.intervals = dnn::transfer_intervals(profile.ready);
   profile.iterations_profiled = 1;
   const net::TcpCostModel cost{cfg.tcp};
-  const core::PerfModel model{profile, timing.fwd, cfg.worker_bandwidth, cost};
+  const core::PerfModel model{profile, timing.fwd, cfg.topology.worker_bandwidth, cost};
 
   // TicTac's realized schedule: single-tensor tasks, priority order after
   // generation, serialized NIC.
@@ -162,8 +161,7 @@ TEST_P(ZooConservation, PsEngineMovesExactlyTheModelBytes) {
   cfg.num_workers = 2;
   cfg.batch = 8;
   cfg.iterations = 6;
-  cfg.worker_bandwidth = Bandwidth::gbps(10);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(10), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 2;
   const auto result = ps::run_cluster(cfg, 3);

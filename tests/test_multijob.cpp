@@ -171,7 +171,7 @@ TEST(MultiJob, OneJobOnStarMatchesRunCluster) {
     cfg.ps_shards = 2;
     cfg.reliability.loss_rate = 0.01;
     MultiJobConfig multi;
-    multi.topology = *cfg.topology;
+    multi.topology = cfg.topology;
     multi.horizon = cfg.metrics_horizon;
     multi.jobs.push_back({cfg, "solo"});
 

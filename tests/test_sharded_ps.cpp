@@ -34,8 +34,7 @@ ps::ClusterConfig small_config(ps::StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;

@@ -41,8 +41,7 @@ ClusterConfig star_1024() {
   cfg.batch = 32;
   cfg.iterations = kIterations;
   cfg.seed = 42;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(10));
   cfg.strategy = StrategyConfig::fifo();
   cfg.metrics_horizon = Duration::seconds(3600);
   return cfg;

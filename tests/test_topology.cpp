@@ -1,18 +1,15 @@
-// TopologySpec / BuiltTopology / link-level routing and contention, plus the
-// back-compat guarantees of the redesigned network API: a TopologySpec::star
-// run is bit-identical to the legacy flat-bandwidth configuration, and
-// ClusterConfig::validate rejects fabrics that cannot seat the job or
-// ambiguous per-worker overrides on non-star fabrics.
+// TopologySpec / BuiltTopology / link-level routing and contention, plus
+// ClusterConfig's fabric checks: validate rejects fabrics that cannot seat
+// the job, per-worker overrides on non-star fabrics, and star overrides that
+// are longer than the cluster or carry a zero rate.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "dnn/model_zoo.hpp"
 #include "net/flow_network.hpp"
 #include "net/topology.hpp"
-#include "ps/cluster.hpp"
 #include "ps/config.hpp"
 #include "sim/simulator.hpp"
 
@@ -86,6 +83,27 @@ TEST(TopologySpec, CliRejectsOverflowingCounts) {
   EXPECT_FALSE(
       TopologySpec::from_cli("leaf-spine:-99999999999999999999", &error).has_value());
   EXPECT_NE(error.find("bad rack count"), std::string::npos) << error;
+  // Counts that fit a long but exceed validate()'s bounds: the fabric
+  // builder would try to allocate them.
+  error.clear();
+  EXPECT_FALSE(TopologySpec::from_cli("leaf-spine:99999999999", &error).has_value());
+  EXPECT_NE(error.find("bad rack count"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(TopologySpec::from_cli("leaf-spine:65537", &error).has_value());
+  EXPECT_NE(error.find("bad rack count"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(TopologySpec::from_cli("leaf-spine:2:65537", &error).has_value());
+  EXPECT_NE(error.find("bad hosts-per-rack"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(TopologySpec::from_cli("leaf-spine:1024:1025", &error).has_value());
+  EXPECT_NE(error.find("too many hosts"), std::string::npos) << error;
+  // The bounds themselves are accepted.
+  const auto widest = TopologySpec::from_cli("leaf-spine:65536", &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  widest->validate();
+  const auto largest = TopologySpec::from_cli("leaf-spine:1024:1024", &error);
+  ASSERT_TRUE(largest.has_value()) << error;
+  largest->validate();
 }
 
 TEST(TopologyRouting, IntraRackPathSkipsTheSpine) {
@@ -172,26 +190,6 @@ TEST(TopologyLinks, NamedLookupAndTargetResolution) {
   EXPECT_TRUE(resolve_link_target(f.net, "nope").empty());
 }
 
-// The API-redesign keystone: a ClusterConfig carrying an explicit
-// TopologySpec::star must replay the legacy flat-bandwidth configuration bit
-// for bit — same event count, same simulated time, same rate.
-TEST(TopologyGolden, StarSpecMatchesLegacyGoldenTrace) {
-  ps::ClusterConfig cfg;
-  cfg.model = dnn::resnet50();
-  cfg.num_workers = 3;
-  cfg.batch = 64;
-  cfg.iterations = 10;
-  cfg.topology =
-      TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
-  cfg.strategy = ps::StrategyConfig::fifo();
-  cfg.strategy.prophet_config.profile_iterations = 4;
-  const auto result = ps::run_cluster(cfg, 5);
-  // Constants from GoldenCluster.FifoTrace (test_engine_perf_invariants.cpp).
-  EXPECT_EQ(result.events_fired, 36038u);
-  EXPECT_EQ(result.simulated_time.count_nanos(), 11089551302);
-  EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 5618);
-}
-
 TEST(TopologyValidation, RejectsFabricTooSmallForJob) {
   ps::ClusterConfig cfg;
   cfg.num_workers = 8;  // 8 workers + PS = 9 hosts > 2x4 fabric
@@ -207,11 +205,39 @@ TEST(TopologyValidation, RejectsWorkerOverrideOnNonStarTopology) {
   EXPECT_DEATH(cfg.validate(), "worker_bandwidth_override is ambiguous");
 }
 
+TEST(TopologyValidation, StarHonorsPerWorkerOverride) {
+  ps::ClusterConfig cfg;
+  cfg.num_workers = 2;
+  cfg.topology = TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
+  cfg.worker_bandwidth_override = {Bandwidth::mbps(100)};
+  cfg.validate();
+  EXPECT_NEAR(cfg.bandwidth_of_worker(0).to_gbps(), 0.1, 1e-9);
+  EXPECT_NEAR(cfg.bandwidth_of_worker(1).to_gbps(), 3.0, 1e-9);
+}
+
+TEST(TopologyValidation, RejectsBadOverridesOnStar) {
+  ps::ClusterConfig cfg;
+  cfg.num_workers = 2;
+  cfg.topology = TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
+  cfg.worker_bandwidth_override.assign(3, Bandwidth::gbps(1));
+  EXPECT_DEATH(cfg.validate(), "worker_bandwidth_override longer than num_workers");
+  cfg.worker_bandwidth_override = {Bandwidth::gbps(1), Bandwidth::zero()};
+  EXPECT_DEATH(cfg.validate(), "worker_bandwidth_override entries must be positive");
+}
+
 TEST(TopologyValidation, SpecRejectsMalformedParameters) {
   EXPECT_DEATH(TopologySpec::leaf_spine(0, 4, Bandwidth::gbps(10), 4.0).validate(),
                "at least one rack");
   EXPECT_DEATH(TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 0.0).validate(),
                "oversubscription");
+  EXPECT_DEATH(
+      TopologySpec::leaf_spine(99999999999, 4, Bandwidth::gbps(10), 4.0).validate(),
+      "more than 65536 racks");
+  EXPECT_DEATH(TopologySpec::leaf_spine(2, 65537, Bandwidth::gbps(10), 4.0).validate(),
+               "more than 65536 hosts per rack");
+  EXPECT_DEATH(
+      TopologySpec::leaf_spine(1024, 1025, Bandwidth::gbps(10), 4.0).validate(),
+      "more than 1048576 hosts");
 }
 
 }  // namespace

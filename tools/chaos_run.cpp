@@ -119,8 +119,7 @@ ps::ClusterConfig chaos_config(const ps::StrategyConfig& strategy,
   cfg.iterations = iterations;
   cfg.seed = seed;
   cfg.ps_shards = 1 + seed % 3;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.reliability.retry_budget = 64;
