@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "allreduce/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/time_series.hpp"
 #include "core/block_planner.hpp"
@@ -300,6 +301,15 @@ inline ps::ClusterConfig golden_cluster_config(const ps::StrategyConfig& strateg
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.rate_rebalance = mode;
+  return cfg;
+}
+
+// The ring on the same timeline: Prophet over three ResNet18 ring members.
+// Nothing else pins the all-reduce event order.
+inline ps::ClusterConfig golden_ring_config(net::RebalanceMode mode) {
+  ps::ClusterConfig cfg = golden_cluster_config(ps::StrategyConfig::prophet(), mode);
+  cfg.model = dnn::resnet18();
+  cfg.batch = 32;
   return cfg;
 }
 

@@ -29,6 +29,7 @@
 // pinpoints which engine diverged. The grouped incast is the one scenario
 // large enough to form a rate group, so it pins the O(log n) fast path and
 // its tracker accounting against the kFull reference.
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -234,6 +235,24 @@ TEST(GoldenCluster, ProphetTrace) {
 TEST(GoldenCluster, ProphetTraceFullRebalance) {
   expect_prophet_golden(run_golden_cluster(ps::StrategyConfig::prophet(),
                                            net::RebalanceMode::kFull));
+}
+
+// The ring golden pins the all-reduce event order: captured before the ring
+// moved onto the PS worker's compute loop, it must not move with it.
+void expect_ring_golden(const ar::AllReduceResult& result) {
+  EXPECT_EQ(result.events_fired, 4691u);
+  EXPECT_EQ(result.simulated_time.count_nanos(), 2707112954);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.mean_rate()), 0x405e395195d17240ull);
+}
+
+TEST(GoldenCluster, RingProphetTrace) {
+  expect_ring_golden(
+      ar::run_allreduce(golden::golden_ring_config(net::RebalanceMode::kIncremental), 5));
+}
+
+TEST(GoldenCluster, RingProphetTraceFullRebalance) {
+  expect_ring_golden(
+      ar::run_allreduce(golden::golden_ring_config(net::RebalanceMode::kFull), 5));
 }
 
 // --- Event-pool mechanics ---------------------------------------------------

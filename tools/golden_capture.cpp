@@ -1,11 +1,12 @@
 // Prints the engine's golden constants: every scenario in
 // tests/golden_scenarios.hpp, run against the tree this binary was built
 // from. tests/test_engine_perf_invariants.cpp pins these values (and
-// tests/test_topology.cpp repeats the fifo cluster line). Flow and cluster
-// scenarios print once per rebalance mode; the tests pin both modes to the
+// tests/test_topology.cpp repeats the fifo cluster line). Flow, cluster and
+// ring scenarios print once per rebalance mode; the tests pin both modes to the
 // same constants, so two lines that differ name the diverging engine.
 //
 // Usage: ./build/tools/golden_capture
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 
@@ -86,6 +87,15 @@ void capture_cluster(const char* name, const ps::StrategyConfig& strategy,
               static_cast<long long>(result.mean_rate() * 100.0));
 }
 
+void capture_ring(net::RebalanceMode mode) {
+  const auto result = ar::run_allreduce(golden_ring_config(mode), 5);
+  std::printf("ring prophet %s events=%llu sim_ns=%lld rate_bits=0x%llxull\n",
+              mode_name(mode), static_cast<unsigned long long>(result.events_fired),
+              static_cast<long long>(result.simulated_time.count_nanos()),
+              static_cast<unsigned long long>(
+                  std::bit_cast<std::uint64_t>(result.mean_rate())));
+}
+
 }  // namespace
 }  // namespace prophet::golden
 
@@ -110,6 +120,7 @@ int main() {
     capture_incast(mode);
     capture_cluster("fifo", ps::StrategyConfig::fifo(), mode);
     capture_cluster("prophet", ps::StrategyConfig::prophet(), mode);
+    capture_ring(mode);
   }
   return 0;
 }
