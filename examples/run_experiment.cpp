@@ -59,7 +59,8 @@ void usage() {
       "                     (default star; leaf-spine defaults to 2 racks x 4,\n"
       "                     at most 65536 racks, 65536 hosts per rack and\n"
       "                     1048576 hosts)\n"
-      "  --oversub X        leaf-spine oversubscription ratio (default 4)\n"
+      "  --oversub X        leaf-spine oversubscription ratio (default 4;\n"
+      "                     leaf-spine only)\n"
       "\nsharded parameter server (PS only):\n"
       "  --ps-shards N      stripe the key space over N PS hosts (key k on\n"
       "                     shard k%%N); each shard is an independent failure\n"
@@ -136,6 +137,18 @@ int main(int argc, char** argv) {
       cfg.topology.oversubscription = flags->get("oversub", 4.0);
     }
   }
+  // A flag the fabric would ignore is refused, not dropped.
+  const bool leaf_spine = cfg.topology.kind == net::TopologySpec::Kind::kLeafSpine;
+  if (flags->has("oversub") && !leaf_spine) {
+    std::fprintf(stderr, "--oversub only applies to a leaf-spine --topology\n");
+    return 1;
+  }
+  if (flags->has("ps-gbps") && leaf_spine) {
+    std::fprintf(stderr,
+                 "--ps-gbps only applies to the star topology; every leaf-spine "
+                 "host runs at --gbps\n");
+    return 1;
+  }
   cfg.ps_shards = flags->get_count("ps-shards", 1);
   cfg.iterations = flags->get_count("iterations", 40);
   cfg.seed = static_cast<std::uint64_t>(flags->get("seed", std::int64_t{42}));
@@ -201,6 +214,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   if (arch == "allreduce") {
+    for (const char* ps_only : {"ps-gbps", "ps-shards", "asp", "jobs", "placement",
+                                "interleave", "trace", "checkpoint-s", "retry-budget"}) {
+      if (flags->has(ps_only)) {
+        std::fprintf(stderr, "--%s only applies to --arch ps; the allreduce ring "
+                     "would ignore it\n", ps_only);
+        return 1;
+      }
+    }
     if (!cfg.dynamics.empty()) {
       std::fprintf(stderr,
                    "dynamics/fault flags only apply to --arch ps; the "
@@ -219,6 +240,10 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t jobs = flags->get_count("jobs", 1);
+  if (jobs <= 1 && (flags->has("placement") || flags->has("interleave"))) {
+    std::fprintf(stderr, "--placement and --interleave only apply with --jobs N > 1\n");
+    return 1;
+  }
   if (jobs > 1) {
     const std::string placement_name =
         flags->get("placement", std::string{"network-aware"});

@@ -2,17 +2,58 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "allreduce/coordinator.hpp"
-#include "allreduce/worker.hpp"
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
 #include "net/topology.hpp"
+#include "ps/compute_loop.hpp"
 #include "ps/strategy.hpp"
 #include "sim/simulator.hpp"
 
 namespace prophet::ar {
+namespace {
+
+// One ring member: the shared compute loop with the ring as its aggregation
+// side. Forward layer i of iteration k waits for the k-th completed
+// reduction of key i; every flushed gradient is reported to the Coordinator.
+class RingMember final : public ps::ComputeLoop {
+ public:
+  RingMember(sim::Simulator& sim, std::size_t id, const ps::ClusterConfig& cfg,
+             const dnn::IterationModel* iteration_model, Coordinator& coordinator,
+             Rng rng)
+      : ComputeLoop{sim, id, cfg.iterations, iteration_model, cfg.batch,
+                    cfg.metrics_bin, cfg.metrics_horizon, rng},
+        coordinator_{coordinator} {}
+
+ private:
+  [[nodiscard]] std::size_t updates_received(std::size_t layer) const override {
+    return coordinator_.reductions_completed(layer);
+  }
+
+  void on_backward_start(TimePoint now) override {
+    // Worker 0 drives the scheduler's iteration lifecycle (BSP keeps the
+    // members within jitter of each other).
+    if (id() != 0) return;
+    const std::size_t iter = current_iteration();
+    if (iter > 0) coordinator_.on_iteration_end(iter - 1, now);
+    coordinator_.on_iteration_start(iter, now);
+  }
+
+  void on_flush(std::span<const FlushRun> runs) override {
+    for (const FlushRun& run : runs) {
+      for (std::size_t g = run.begin; g < run.end; ++g) {
+        coordinator_.on_gradient_ready(id(), g);
+      }
+    }
+  }
+
+  Coordinator& coordinator_;
+};
+
+}  // namespace
 
 AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
                               std::optional<std::size_t> measure_first) {
@@ -22,6 +63,10 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   PROPHET_CHECK_MSG(cfg.dynamics.empty(),
                     "run_allreduce: the ring does not apply dynamics or fault "
                     "plans; run them on the PS architecture");
+  PROPHET_CHECK_MSG(cfg.sync == ps::SyncMode::kBsp,
+                    "run_allreduce: the ring gates every layer on a completed "
+                    "reduction and is BSP by construction; ASP needs the PS "
+                    "architecture");
   sim::Simulator sim;
   const net::TcpCostModel cost{cfg.tcp};
   net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
@@ -45,21 +90,20 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
                          cfg.model.tensor_count(),
                          [&monitor] { return monitor.estimate(); }, cost);
 
-  std::vector<std::unique_ptr<Worker>> workers;
+  std::vector<std::unique_ptr<RingMember>> workers;
   Coordinator coordinator{sim,
                           network,
                           nodes,
                           cfg.model,
                           std::move(scheduler),
-                          [&workers](std::size_t w, std::size_t key) {
-                            workers[w]->on_reduced(key);
+                          [&workers](std::size_t w, std::size_t /*key*/) {
+                            workers[w]->on_update();
                           }};
 
   Rng root{cfg.seed};
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    workers.push_back(std::make_unique<Worker>(
-        sim, w, cfg.iterations, &iteration_model, &coordinator, cfg.batch,
-        cfg.metrics_bin, cfg.metrics_horizon, root.fork(w)));
+    workers.push_back(std::make_unique<RingMember>(sim, w, cfg, &iteration_model,
+                                                   coordinator, root.fork(w)));
   }
   for (auto& worker : workers) worker->start();
 
@@ -89,7 +133,7 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   result.events_fired = sim.events_fired();
   result.rebalance = network.rebalance_stats();
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    Worker& worker = *workers[w];
+    RingMember& worker = *workers[w];
     result.workers.push_back(ps::WorkerResult::measure(
         w, first, cfg.iterations, worker.current_iteration(),
         worker.take_training_metrics(), worker.take_gpu(), untracked, untracked));

@@ -19,9 +19,10 @@ using AllReduceResult = ps::ClusterResult;
 
 // Reuses the PS ClusterConfig (model / batch / topology / strategy /
 // iterations); the ring members are placed on cfg.topology like PS workers.
-// PS-specific fields (the PS NIC rate, ps_shards, update costs, sync mode)
-// are ignored. Aborts on an invalid config, on fewer than two workers and on
-// a non-empty dynamics plan, which the ring cannot apply.
+// PS-specific fields (the PS NIC rate, ps_shards, update costs) are ignored.
+// Aborts on an invalid config, on fewer than two workers, on a non-empty
+// dynamics plan, which the ring cannot apply, and on ASP: the ring gates
+// every layer on a completed reduction, so it is BSP by construction.
 AllReduceResult run_allreduce(const ps::ClusterConfig& config,
                               std::optional<std::size_t> measure_first = {});
 

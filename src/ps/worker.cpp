@@ -9,14 +9,11 @@
 namespace prophet::ps {
 
 Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rng rng)
-    : sim_{sim},
+    : ComputeLoop{sim, params.id, params.iterations, params.iteration_model,
+                  params.batch, params.metrics_bin, params.metrics_horizon, rng},
       network_{network},
       params_{std::move(params)},
-      rng_{rng},
-      training_{params_.batch},
-      gpu_{params_.metrics_bin, params_.metrics_horizon},
       transfer_log_{} {
-  PROPHET_CHECK(params_.iteration_model != nullptr);
   PROPHET_CHECK(params_.server != nullptr);
   PROPHET_CHECK_MSG(!params_.ps_nodes.empty(), "worker needs at least one PS endpoint");
   PROPHET_CHECK_MSG(params_.ps_nodes.size() == params_.server->num_shards(),
@@ -80,13 +77,6 @@ bool Worker::any_ps_down() const {
                      [](std::uint8_t down) { return down != 0; });
 }
 
-void Worker::start() { begin_iteration(); }
-
-void Worker::set_compute_factor(double factor) {
-  PROPHET_CHECK_MSG(factor > 0.0, "compute factor must be positive");
-  compute_factor_ = factor;
-}
-
 std::size_t Worker::prophet_replans() const {
   if (const auto* prophet = dynamic_cast<const core::ProphetScheduler*>(
           push_sched_.get())) {
@@ -95,72 +85,33 @@ std::size_t Worker::prophet_replans() const {
   return 0;
 }
 
-void Worker::begin_iteration() {
+void Worker::on_iteration_start(TimePoint now) {
   if (params_.auditor != nullptr) {
-    params_.auditor->on_iteration_start(params_.id, iter_, sim_.now());
+    params_.auditor->on_iteration_start(params_.id, current_iteration(), now);
   }
-  training_.mark_iteration_start(iter_, sim_.now());
-  if (done()) return;  // final boundary recorded; no more compute
-  params_.iteration_model->sample(rng_, timing_);
-  if (compute_factor_ != 1.0) {
-    // Straggler injection: the whole compute timeline stretches, including
-    // the gradient-ready offsets the KVStore flushes are pinned to.
-    for (auto& d : timing_.fwd) d = d * compute_factor_;
-    for (auto& d : timing_.bwd) d = d * compute_factor_;
-    for (auto& d : timing_.ready_offset) d = d * compute_factor_;
-  }
-  fwd_layer_ = 0;
-  waiting_for_param_ = false;
-  advance_forward();
 }
 
-bool Worker::forward_gate_open(std::size_t layer) const {
-  return iter_ == 0 || pulls_done_[layer] >= iter_;
-}
-
-void Worker::advance_forward() {
-  const std::size_t n = pulls_done_.size();
-  while (fwd_layer_ < n) {
-    if (!forward_gate_open(fwd_layer_)) {
-      // Eq. (3): layer fwd blocked until its parameter update is pulled;
-      // this idle gap is exactly the (u - p)^+ term of T_wait.
-      waiting_for_param_ = true;
-      return;
-    }
-    gpu_.busy_from(sim_.now());
-    sim_.schedule_after(timing_.fwd[fwd_layer_],
-                        inline_closure([this, inc = incarnation_] {
-                          if (inc != incarnation_) return;  // compute died with the crash
-                          gpu_.idle_from(sim_.now());
-                          ++fwd_layer_;
-                          advance_forward();
-                        }));
-    return;  // resumes from the completion event
-  }
-  begin_backward();
-}
-
-void Worker::begin_backward() {
-  const TimePoint now = sim_.now();
+void Worker::on_backward_start(TimePoint now) {
+  const std::size_t iter = current_iteration();
   if (params_.auditor != nullptr) {
-    params_.auditor->on_backward_start(params_.id, iter_, now);
+    params_.auditor->on_backward_start(params_.id, iter, now);
   }
-  transfer_log_.mark_backward_start(iter_, now);
+  transfer_log_.mark_backward_start(iter, now);
 
   // Iteration lifecycle hooks: iteration k-1 "ends" when forward k has
   // fully completed, i.e. right now.
-  if (iter_ > 0) {
-    push_sched_->on_iteration_end(iter_ - 1, now);
-    pull_sched_->on_iteration_end(iter_ - 1, now);
+  if (iter > 0) {
+    push_sched_->on_iteration_end(iter - 1, now);
+    pull_sched_->on_iteration_end(iter - 1, now);
   }
-  push_sched_->on_iteration_start(iter_, now);
-  pull_sched_->on_iteration_start(iter_, now);
+  push_sched_->on_iteration_start(iter, now);
+  pull_sched_->on_iteration_start(iter, now);
 
   // Prophet: once the push side finishes profiling, share the profile with
   // the pull side and note the activation iteration (Fig. 13 boundary).
   if (auto* push_prophet = dynamic_cast<core::ProphetScheduler*>(push_sched_.get())) {
     if (push_prophet->profile_ready()) {
-      if (!prophet_activated_at_.has_value()) prophet_activated_at_ = iter_;
+      if (!prophet_activated_at_.has_value()) prophet_activated_at_ = iter;
       if (auto* pull_prophet =
               dynamic_cast<core::ProphetScheduler*>(pull_sched_.get());
           pull_prophet != nullptr && !pull_prophet->profile_ready()) {
@@ -168,75 +119,25 @@ void Worker::begin_backward() {
       }
     }
   }
-
-  // Backward compute occupies the GPU until the final flush.
-  gpu_.busy_from(now);
-
-  // Gradient emissions at the KVStore flush instants (stepwise pattern):
-  // one event per distinct ready offset, in ascending offset order, each
-  // releasing its gradients in ascending index order. A KVStore flush
-  // releases a contiguous index range, so the offsets form a few runs of
-  // equal value; sorting the runs by (offset, first index) lines up each
-  // event's runs in ascending index order. Every flush of the previous
-  // backward fired before its end_backward (no offset exceeds
-  // backward_total), so the run buffer is free to rewrite.
-  PROPHET_CHECK_MSG(flushes_pending_ == 0,
-                    "a gradient flush of the previous backward is still pending");
-  const auto& ready = timing_.ready_offset;
-  flush_runs_.clear();
-  for (std::size_t g = 0; g < ready.size(); ++g) {
-    if (g > 0 && ready[g] == ready[g - 1]) {
-      ++flush_runs_.back().end;
-    } else {
-      flush_runs_.push_back(FlushRun{ready[g], g, g + 1});
-    }
-  }
-  std::sort(flush_runs_.begin(), flush_runs_.end(),
-            [](const FlushRun& a, const FlushRun& b) {
-              return a.offset != b.offset ? a.offset < b.offset : a.begin < b.begin;
-            });
-  for (std::size_t r = 0; r < flush_runs_.size(); ++r) {
-    if (r > 0 && flush_runs_[r].offset == flush_runs_[r - 1].offset) continue;
-    ++flushes_pending_;
-    sim_.schedule_after(flush_runs_[r].offset,
-                        inline_closure([this, first_run = static_cast<std::uint32_t>(r),
-                                        inc = incarnation_] {
-                          if (inc != incarnation_) return;  // flush died with the crash
-                          flush_gradients(first_run);
-                        }));
-  }
-  sim_.schedule_after(timing_.backward_total(), inline_closure([this, inc = incarnation_] {
-                        if (inc != incarnation_) return;  // backward died with the crash
-                        end_backward();
-                      }));
 }
 
-void Worker::flush_gradients(std::size_t first_run) {
-  PROPHET_CHECK(flushes_pending_ > 0);
-  --flushes_pending_;
-  const Duration offset = flush_runs_[first_run].offset;
-  for (std::size_t r = first_run;
-       r < flush_runs_.size() && flush_runs_[r].offset == offset; ++r) {
-    for (std::size_t g = flush_runs_[r].begin; g < flush_runs_[r].end; ++g) {
-      if (push_rounds_done_[g] > iter_) {
+void Worker::on_flush(std::span<const FlushRun> runs) {
+  const std::size_t iter = current_iteration();
+  for (const FlushRun& run : runs) {
+    for (std::size_t g = run.begin; g < run.end; ++g) {
+      if (push_rounds_done_[g] > iter) {
         // Replayed backward: this key's round already aggregated at the PS
         // before the fault; re-sending it would double-count the gradient.
         push_sched_->on_gradient_skipped(g, sim_.now());
         continue;
       }
       enqueue_time_push_[g] = sim_.now();
-      enqueue_iter_push_[g] = iter_;
+      enqueue_iter_push_[g] = iter;
       push_sched_->enqueue(g, params_.iteration_model->model().tensor(g).bytes,
                            sim_.now());
     }
   }
   pump(sched::TaskKind::kPush);
-}
-
-void Worker::end_backward() {
-  gpu_.idle_from(sim_.now());
-  ++iter_;
-  begin_iteration();
 }
 
 void Worker::pump(sched::TaskKind kind) {
@@ -346,10 +247,7 @@ void Worker::on_subflow_done(sched::TaskKind kind, std::size_t shard,
           params_.auditor->on_pull_complete(params_.id, item.grad,
                                             pulls_done_[item.grad], now);
         }
-        if (waiting_for_param_ && forward_gate_open(fwd_layer_)) {
-          waiting_for_param_ = false;
-          advance_forward();
-        }
+        on_update();
       }
     }
   }
@@ -422,43 +320,33 @@ void Worker::reclaim_missed_pulls() {
 }
 
 void Worker::repush_owed_rounds() {
-  if (iter_ == 0) return;
+  const std::size_t iter = current_iteration();
+  if (iter == 0) return;
   for (std::size_t g = 0; g < push_rounds_done_.size(); ++g) {
-    if (push_rounds_done_[g] >= iter_) continue;
+    if (push_rounds_done_[g] >= iter) continue;
     // The round-k barrier precedes backward k, so the debt is exactly the
     // one round whose transfers were in flight when the fault hit.
-    PROPHET_CHECK_MSG(push_rounds_done_[g] + 1 == iter_,
+    PROPHET_CHECK_MSG(push_rounds_done_[g] + 1 == iter,
                       "fault recovery found a push debt deeper than one round; "
                       "the BSP barrier should have stopped the worker earlier");
     enqueue_time_push_[g] = sim_.now();
-    enqueue_iter_push_[g] = iter_ - 1;
+    enqueue_iter_push_[g] = iter - 1;
     push_sched_->enqueue(g, params_.iteration_model->model().tensor(g).bytes,
                          sim_.now());
   }
 }
 
 void Worker::halt_inflight() {
-  ++incarnation_;  // fences every scheduled compute callback
+  halt();
   for (auto& channel : channels_) channel->abort_all();
   push_active_.live = false;
   pull_active_.live = false;
-  flushes_pending_ = 0;  // the stale incarnation's flushes are fenced
   push_poll_.cancel();
   pull_poll_.cancel();
   push_hold_ = TimePoint::origin();
   pull_hold_ = TimePoint::origin();
-  waiting_for_param_ = false;
   std::fill(pull_pending_bytes_.begin(), pull_pending_bytes_.end(), 0);
   std::fill(push_round_bytes_.begin(), push_round_bytes_.end(), 0);
-  if (gpu_.is_busy()) gpu_.idle_from(sim_.now());
-}
-
-void Worker::replay_iteration() {
-  if (done()) return;
-  // The interrupted iteration restarts from the top of forward: its start
-  // mark is re-recorded and its compute timing is re-sampled.
-  training_.rewind_to(iter_);
-  begin_iteration();
 }
 
 void Worker::crash() {
@@ -492,7 +380,7 @@ void Worker::recover() {
   if (all_ps_down()) return;
   reclaim_missed_pulls();
   repush_owed_rounds();
-  replay_iteration();
+  replay();
   pump(sched::TaskKind::kPush);
   pump(sched::TaskKind::kPull);
 }
@@ -541,7 +429,7 @@ void Worker::rollback(const std::vector<std::size_t>& versions) {
     push_rounds_done_[k] = std::min(push_rounds_done_[k], versions[k]);
     target = std::min(target, versions[k]);
   }
-  iter_ = std::min(iter_, target);
+  rewind_to(target);
   std::fill(ps_shard_down_.begin(), ps_shard_down_.end(), std::uint8_t{0});
   transfer_log_.record_fault({metrics::FaultKind::kPsFailover, sim_.now(), 0});
   push_sched_->on_recovery(sim_.now());
@@ -549,7 +437,7 @@ void Worker::rollback(const std::vector<std::size_t>& versions) {
   if (crashed_) return;  // this worker restarts on its own recover()
   reclaim_missed_pulls();
   repush_owed_rounds();
-  replay_iteration();
+  replay();
   pump(sched::TaskKind::kPush);
   pump(sched::TaskKind::kPull);
 }
@@ -577,7 +465,7 @@ void Worker::rollback_shard(std::size_t shard,
     push_rounds_done_[key] = std::min(push_rounds_done_[key], versions[key]);
     target = std::min(target, versions[key]);
   }
-  iter_ = std::min(iter_, target);
+  rewind_to(target);
   ps_shard_down_[shard] = 0;
   transfer_log_.record_fault({metrics::FaultKind::kPsFailover, sim_.now(), 0});
   // Shard-aware schedule repair: strategies learn which keys rolled back
@@ -591,7 +479,7 @@ void Worker::rollback_shard(std::size_t shard,
   if (crashed_) return;  // this worker restarts on its own recover()
   reclaim_missed_pulls();
   repush_owed_rounds();
-  replay_iteration();
+  replay();
   pump(sched::TaskKind::kPush);
   pump(sched::TaskKind::kPull);
 }
@@ -601,8 +489,7 @@ void Worker::set_loss_rate(double rate) {
 }
 
 void Worker::finish() {
-  gpu_.finish(sim_.now());
-  training_.finish(sim_.now());
+  ComputeLoop::finish();
   tx_monitor_->stop();
   rx_monitor_->stop();
 }

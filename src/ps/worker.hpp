@@ -1,17 +1,8 @@
-// One training worker: runs the forward/backward compute loop, emits
-// gradients through the KVStore stepwise model, and drives its push / pull
-// NICs through the configured communication scheduler.
-//
-// Timeline per iteration k (the paper's Fig. 6):
-//   forward k   — layer by layer; layer i of iteration k requires k completed
-//                 pulls of key i (Eq. (3) dependency). Waiting here is the
-//                 GPU idle time T_wait that Prophet minimizes.
-//   backward k  — continuous GPU work; gradients become transferable at the
-//                 KVStore flush instants (the stepwise pattern) and are
-//                 handed to the push scheduler (WFBP overlap).
-// The NIC pump keeps at most one task in flight per direction
-// (Constraint (8)); every completed push feeds the PS, every completed pull
-// unblocks forward layers.
+// One training worker on the PS architecture: the shared compute loop
+// (ps/compute_loop.hpp) with the PS tier as its aggregation side. Forward
+// layer i of iteration k is gated on k completed pulls of key i, flushed
+// gradients go to the push scheduler, and the NIC pump keeps at most one
+// task in flight per direction (Constraint (8)).
 //
 // Sharded PS: the worker holds one reliable channel per PS shard. A task
 // popped from a scheduler is partitioned by key shard into per-shard
@@ -24,10 +15,9 @@
 // bit-identical to the historical single-channel worker.
 //
 // The transfer path allocates nothing in steady state: each direction owns
-// one task buffer the scheduler fills in place, sub-flow completions walk
-// that buffer for their shard, and the gradient flush schedule of a backward
-// pass lives in worker-owned buffers. Every per-transfer closure captures at
-// most 16 bytes (see common/inline_closure.hpp).
+// one task buffer the scheduler fills in place and sub-flow completions walk
+// that buffer for their shard. Every per-transfer closure captures at most
+// 16 bytes (see common/inline_closure.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,12 +29,11 @@
 #include "audit/bsp_auditor.hpp"
 #include "common/rng.hpp"
 #include "dnn/iteration_model.hpp"
-#include "metrics/gpu_tracker.hpp"
-#include "metrics/training_metrics.hpp"
 #include "metrics/transfer_log.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
 #include "net/reliability.hpp"
+#include "ps/compute_loop.hpp"
 #include "ps/server.hpp"
 #include "ps/strategy.hpp"
 #include "sched/scheduler.hpp"
@@ -52,7 +41,7 @@
 
 namespace prophet::ps {
 
-class Worker {
+class Worker final : public ComputeLoop {
  public:
   struct Params {
     std::size_t id;
@@ -76,20 +65,12 @@ class Worker {
   };
 
   Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rng rng);
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
 
-  // Kicks off iteration 0 at the current simulation time.
-  void start();
   // PS callback: `key`'s updated value became pullable by this worker.
   void on_param_updated(std::size_t key);
-  // Closes open metric intervals; call once after the simulation drains.
+  // Closes open metric intervals and stops the NIC monitors; call once after
+  // the simulation drains.
   void finish();
-
-  // Dynamics hook: stretches this worker's compute times (forward, backward
-  // and gradient-ready offsets) by `factor` from the next sampled iteration
-  // on (straggler injection; factor > 1 slows this worker down).
-  void set_compute_factor(double factor);
 
   // --- fault injection hooks (cluster driver) ------------------------------
   // Worker process dies: in-flight push/pull transfers abort, queued
@@ -122,16 +103,8 @@ class Worker {
   void set_loss_rate(double rate);
   [[nodiscard]] bool crashed() const { return crashed_; }
 
-  [[nodiscard]] std::size_t id() const { return params_.id; }
-  [[nodiscard]] bool done() const { return iter_ >= params_.iterations; }
-  [[nodiscard]] std::size_t current_iteration() const { return iter_; }
-
   // --- results ------------------------------------------------------------
   // Moved out once, after training, into the worker's WorkerResult.
-  [[nodiscard]] metrics::TrainingMetrics take_training_metrics() {
-    return std::move(training_);
-  }
-  [[nodiscard]] metrics::GpuTracker take_gpu() { return std::move(gpu_); }
   [[nodiscard]] metrics::TransferLog take_transfers() { return std::move(transfer_log_); }
   [[nodiscard]] const net::BandwidthMonitor& uplink_monitor() const { return *tx_monitor_; }
   // Iteration at which Prophet's profile became active (nullopt: not Prophet
@@ -158,13 +131,19 @@ class Worker {
     std::vector<std::uint8_t> live_on_shard;  // sub-flow in flight per shard
   };
 
-  void begin_iteration();
-  void advance_forward();
-  void begin_backward();
-  void end_backward();
-  // The flush event whose runs start at flush_runs_[first_run]: hands every
-  // gradient ready at that offset to the push scheduler.
-  void flush_gradients(std::size_t first_run);
+  // --- compute-loop hooks ----------------------------------------------------
+  [[nodiscard]] std::size_t updates_received(std::size_t layer) const override {
+    return pulls_done_[layer];
+  }
+  // Auditor iteration boundary.
+  void on_iteration_start(TimePoint now) override;
+  // Auditor and transfer-log marks, the schedulers' iteration lifecycle and
+  // Prophet's push-to-pull profile sharing.
+  void on_backward_start(TimePoint now) override;
+  // Hands every gradient of the flush to the push scheduler (a replayed
+  // backward skips keys already aggregated), then pumps.
+  void on_flush(std::span<const FlushRun> runs) override;
+
   void pump(sched::TaskKind kind);
   // The active task's sub-flow to `shard` delivered: processes the task's
   // items addressed to that shard.
@@ -176,7 +155,6 @@ class Worker {
   // Shard `shard` crashed: detach its in-flight sub-flows from the active
   // tasks (their aborted channel callbacks never fire).
   void detach_subflows(std::size_t shard);
-  [[nodiscard]] bool forward_gate_open(std::size_t layer) const;
   [[nodiscard]] sched::CommScheduler& scheduler(sched::TaskKind kind);
   [[nodiscard]] ActiveTask& active_task(sched::TaskKind kind) {
     return kind == sched::TaskKind::kPush ? push_active_ : pull_active_;
@@ -192,19 +170,15 @@ class Worker {
   // Re-claims every announced round lost across a crash or rollback.
   void reclaim_missed_pulls();
   // Re-enqueues pushes the server is still owed from the previous backward
-  // (WFBP overlap lets round-`iter_` pushes trail into forward `iter_`; a
+  // (WFBP overlap lets round-k pushes trail into forward k + 1; a
   // crash there loses them without replay ever reaching that backward).
   void repush_owed_rounds();
-  // Shared teardown of crash()/on_ps_crash()/rollback(): aborts transfers,
-  // fences scheduled compute, closes the GPU interval.
+  // Shared teardown of crash()/on_ps_crash()/rollback(): halts the compute
+  // loop and aborts transfers.
   void halt_inflight();
-  // Restarts the current iteration from the top of forward.
-  void replay_iteration();
 
-  sim::Simulator& sim_;
   net::FlowNetwork& network_;
   Params params_;
-  Rng rng_;
   // One reliable channel per PS shard, each with its own RNG stream (shard 0
   // keeps the historical stream, so ps_shards=1 replays bit-identically).
   std::vector<std::unique_ptr<net::ReliableChannel>> channels_;
@@ -214,15 +188,8 @@ class Worker {
   std::unique_ptr<net::BandwidthMonitor> tx_monitor_;
   std::unique_ptr<net::BandwidthMonitor> rx_monitor_;
 
-  metrics::TrainingMetrics training_;
-  metrics::GpuTracker gpu_;
   metrics::TransferLog transfer_log_;
 
-  std::size_t iter_{0};
-  std::size_t fwd_layer_{0};
-  double compute_factor_{1.0};
-  bool waiting_for_param_{false};
-  dnn::IterationTiming timing_;
   // Completed pulls per key; forward layer i of iteration k needs
   // pulls_done_[i] >= k.
   std::vector<std::size_t> pulls_done_;
@@ -237,21 +204,6 @@ class Worker {
   std::vector<std::int64_t> push_round_bytes_;
   bool crashed_{false};
   std::vector<std::uint8_t> ps_shard_down_;  // per-shard endpoint liveness
-  // Fences scheduled compute callbacks (forward steps, gradient flushes,
-  // backward end) across crash/rollback: each captures the incarnation it
-  // was scheduled under and no-ops if it moved.
-  std::uint32_t incarnation_{0};
-  // Flush schedule of the current backward pass: runs of consecutive
-  // gradients sharing a ready offset, sorted by (offset, first gradient).
-  // Rewritten by every begin_backward, which checks that no flush of the
-  // current incarnation is still pending.
-  struct FlushRun {
-    Duration offset;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<FlushRun> flush_runs_;
-  std::size_t flushes_pending_{0};
   std::vector<TimePoint> enqueue_time_push_;
   std::vector<TimePoint> enqueue_time_pull_;
   std::vector<std::size_t> enqueue_iter_push_;

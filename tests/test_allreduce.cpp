@@ -220,6 +220,12 @@ TEST(AllReduceClusterDeathTest, RejectsConfigsTheRingCannotRun) {
     cfg.dynamics.straggler(Duration::millis(100), 0, 2.0);
     EXPECT_DEATH(run_allreduce(cfg), "dynamics");
   }
+  {
+    // The ring gates every layer on a completed reduction: it cannot run ASP.
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.sync = ps::SyncMode::kAsp;
+    EXPECT_DEATH(run_allreduce(cfg), "BSP by construction");
+  }
 }
 
 }  // namespace
